@@ -3,7 +3,7 @@
 
      check_regression.exe [--tolerance 0.25] [--min-speedup X]
                           [--min-ratio KEY X]... [--max-ratio KEY X]...
-                          BASELINE CURRENT
+                          [--throughput KEY]... BASELINE CURRENT
 
    The simulations are deterministic (seeded RNG streams, virtual time),
    so the guarded numbers are exactly reproducible on any machine; the
@@ -25,6 +25,11 @@
    least X. Baselines generated on small machines carry whatever speedup
    they measured; the gate judges only the machine CI actually ran on
    (E20 uses X = 1.0: parallel must never lose to serial there).
+
+   [--throughput KEY] (repeatable) opts one more key into the
+   throughput-like check for this invocation only. E24's full-scale gate
+   uses it for the per-arm wall-clock "pps", on the one job that runs the
+   full depth; no other gate compares wall clock against a baseline.
 
    A structural mismatch (missing baseline key, array length change)
    also fails: it means the experiment grid or schema changed and the
@@ -187,7 +192,11 @@ let parse (s : string) : json =
 
 (* ---- comparison ---- *)
 
-let is_throughput_key k = List.mem k [ "delivered"; "completed"; "goodput" ]
+let extra_throughput_keys = ref []
+
+let is_throughput_key k =
+  List.mem k [ "delivered"; "completed"; "goodput" ]
+  || List.mem k !extra_throughput_keys
 
 let is_drop_key k =
   k = "failed" || k = "malformed_drops"
@@ -339,6 +348,9 @@ let () =
         prerr_endline "--max-ratio expects KEY FLOAT";
         exit 2);
       parse_args rest
+    | "--throughput" :: key :: rest ->
+      extra_throughput_keys := key :: !extra_throughput_keys;
+      parse_args rest
     | a :: rest ->
       files := a :: !files;
       parse_args rest
@@ -383,5 +395,5 @@ let () =
     end
   | _ ->
     prerr_endline
-      "usage: check_regression [--tolerance 0.25] [--min-speedup X] [--min-ratio KEY X]... [--max-ratio KEY X]... BASELINE CURRENT";
+      "usage: check_regression [--tolerance 0.25] [--min-speedup X] [--min-ratio KEY X]... [--max-ratio KEY X]... [--throughput KEY]... BASELINE CURRENT";
     exit 2

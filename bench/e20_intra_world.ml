@@ -92,15 +92,12 @@ let measure ?(batching = false) ?(pooling = false) ~shards ~hosts_per_region
       if G.kind g node = G.Router then
         ignore
           (Sirpent.Router.create (S.world cluster (S.region_of cluster node)) ~node ()));
-  let received = ref 0 in
   let endpoints = Hashtbl.create 64 in
   Array.iteri
     (fun r hs ->
       Array.iter
         (fun h ->
-          let ht = Sirpent.Host.create (S.world cluster r) ~node:h in
-          Sirpent.Host.set_receive ht (fun _ ~packet:_ ~in_port:_ -> incr received);
-          Hashtbl.replace endpoints h ht)
+          Hashtbl.replace endpoints h (Sirpent.Host.create (S.world cluster r) ~node:h))
         hs)
     hosts;
   Array.iteri
@@ -130,13 +127,17 @@ let measure ?(batching = false) ?(pooling = false) ~shards ~hosts_per_region
   let until = Sim.Time.ms 1 + (packets * Sim.Time.us 200) + Sim.Time.ms 20 in
   let epoch = if !Util.rebalance then Some Util.rebalance_epoch else None in
   let stats = S.run ~shards ?epoch ~until cluster in
+  let rows = S.merged_rows cluster in
   {
     c_shards = shards;
     c_stats = stats;
-    c_rows = S.merged_rows cluster;
+    c_rows = rows;
     c_events = S.merged_events cluster;
     c_flights = S.merged_flights cluster;
-    c_delivered = !received;
+    (* the hosts' own receive counters, read from the merged rows after
+       every domain has joined: no harness state is shared across
+       domains *)
+    c_delivered = Telemetry.Merge.counter_value rows "host_received";
   }
 
 let dropped_total rows =

@@ -177,12 +177,10 @@ let drive ?scalar_lookahead ?epoch ?(faults = false) ?refine_loads ~shards
       if G.kind g node = G.Router then
         ignore
           (Sirpent.Router.create (S.world cluster (S.region_of cluster node)) ~node ()));
-  let received = ref 0 in
   let endpoints = Hashtbl.create 64 in
   let host node =
-    let ht = Sirpent.Host.create (S.world cluster (S.region_of cluster node)) ~node in
-    Sirpent.Host.set_receive ht (fun _ ~packet:_ ~in_port:_ -> incr received);
-    Hashtbl.replace endpoints node ht
+    Hashtbl.replace endpoints node
+      (Sirpent.Host.create (S.world cluster (S.region_of cluster node)) ~node)
   in
   Array.iter (fun (_, hs) -> Array.iter host hs) t.cells;
   Array.iter (fun hs -> Array.iter host hs) t.light_hosts;
@@ -292,15 +290,18 @@ let drive ?scalar_lookahead ?epoch ?(faults = false) ?refine_loads ~shards
       done)
     t.light_hosts;
   let stats = S.run ~shards ?epoch ~until cluster in
+  let rows = S.merged_rows cluster in
   {
     r_stats = stats;
-    r_rows = S.merged_rows cluster;
+    r_rows = rows;
     r_region_rows =
       List.init (S.regions cluster) (fun r ->
           Telemetry.Registry.snapshot (W.metrics (S.world cluster r)));
     r_events = S.merged_events cluster;
     r_flights = S.merged_flights cluster;
-    r_delivered = !received;
+    (* the hosts' own receive counters, summed from the merged rows once
+       every domain has joined *)
+    r_delivered = Telemetry.Merge.counter_value rows "host_received";
     r_coarse_regions = coarse.P.regions;
     r_outcome = outcome;
     r_dirs =

@@ -90,26 +90,39 @@ let warm_cache =
   ignore (Token.Cache.complete_verification c ~token:token_bytes ~now_ms:0);
   c
 
-let event_heap =
-  (* steady-state churn on a heap holding 256 live events, the working
-     set of a busy shard engine *)
-  let h = Sim.Heap.create () in
-  let t = ref 0 in
-  for _ = 1 to 256 do
-    incr t;
-    Sim.Heap.push h ~time:!t ~seq:0 ()
-  done;
-  (h, t)
+(* Steady-state churn on a heap holding [depth] live events with distinct
+   seqs: each operation pops the minimum and pushes a successor a random
+   distance ahead, so the heap stays at [depth]. 256 is the working set
+   of a busy shard engine; 400k is the backlog depth of E24's full-scale
+   saturation run. Built on first use, so other experiments do not pay
+   for the deep heap. *)
+let event_heap depth =
+  lazy
+    (let h = Sim.Heap.create () in
+     let rng = Sim.Rng.create 0x4EA9L in
+     let seq = ref 0 in
+     for _ = 1 to depth do
+       Sim.Heap.push h ~time:(Sim.Rng.int rng (4 * depth)) ~seq:!seq ();
+       incr seq
+     done;
+     (h, rng, seq, depth))
+
+let heap_churn heap () =
+  let h, rng, seq, depth = Lazy.force heap in
+  let time = Sim.Heap.min_time h in
+  Sim.Heap.pop_min h;
+  Sim.Heap.push h ~time:(time + 1 + Sim.Rng.int rng depth) ~seq:!seq ();
+  incr seq
+
+let shallow_heap = event_heap 256
+let deep_heap = event_heap 400_000
 
 let tests =
   [
     Test.make ~name:"viper segment encode" (Staged.stage (fun () ->
         ignore (Seg.encode sample_segment)));
-    Test.make ~name:"sim heap push+pop (256 live)" (Staged.stage (fun () ->
-        let h, t = event_heap in
-        incr t;
-        Sim.Heap.push h ~time:!t ~seq:0 ();
-        ignore (Sim.Heap.pop h)));
+    Test.make ~name:"sim heap push+pop (256 live)"
+      (Staged.stage (heap_churn shallow_heap));
     Test.make ~name:"viper segment decode" (Staged.stage (fun () ->
         ignore (Seg.decode sample_segment_bytes)));
     Test.make ~name:"sirpent per-hop forward (strip+trailer)" (Staged.stage (fun () ->
@@ -132,15 +145,29 @@ let tests =
         ignore (Pkt.return_route traversed_packet)));
   ]
 
+(* Runs after [tests]: while its 400k-entry heap is live, major GC work
+   inflates every other case. It also runs without Bechamel's per-sample
+   GC stabilization, whose compaction moves the deep heap's arrays and
+   leaves every sample starting from a cold cache. *)
+let deep_tests =
+  [
+    Test.make ~name:"sim heap push+pop (400k live)"
+      (Staged.stage (heap_churn deep_heap));
+  ]
+
 let run () =
   Util.heading "M  micro-benchmarks (ns per operation)";
   let instances = [ Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.4) ~kde:(Some 500) () in
-  let raw =
-    List.map
-      (fun test -> Benchmark.all cfg instances test)
-      tests
+  let measure ~stabilize tests =
+    let cfg =
+      Benchmark.cfg ~limit:1000 ~stabilize ~quota:(Time.second 0.4) ~kde:(Some 500) ()
+    in
+    List.map (fun test -> Benchmark.all cfg instances test) tests
   in
+  ignore (Lazy.force shallow_heap);
+  let raw = measure ~stabilize:true tests in
+  ignore (Lazy.force deep_heap);
+  let raw = raw @ measure ~stabilize:false deep_tests in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in

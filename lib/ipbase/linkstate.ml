@@ -119,24 +119,21 @@ and run_spf t =
   List.iter (fun (peer, cost) -> push cost peer peer) (current_neighbors t);
   let visited : (G.node_id, unit) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.replace visited t.node ();
-  let continue = ref true in
-  while !continue do
-    match Sim.Heap.pop heap with
-    | None -> continue := false
-    | Some (_, _, (cost, v, hop)) ->
-      if not (Hashtbl.mem visited v) then begin
-        Hashtbl.replace visited v ();
-        Hashtbl.replace dist v cost;
-        Hashtbl.replace first_hop v hop;
-        match Hashtbl.find_opt t.lsdb v with
-        | None -> ()
-        | Some lsa ->
-          List.iter
-            (fun (next, edge_cost) ->
-              if not (Hashtbl.mem visited next) then
-                push (cost +. edge_cost) next hop)
-            lsa.neighbors
-      end
+  while not (Sim.Heap.is_empty heap) do
+    let cost, v, hop = Sim.Heap.pop_min heap in
+    if not (Hashtbl.mem visited v) then begin
+      Hashtbl.replace visited v ();
+      Hashtbl.replace dist v cost;
+      Hashtbl.replace first_hop v hop;
+      match Hashtbl.find_opt t.lsdb v with
+      | None -> ()
+      | Some lsa ->
+        List.iter
+          (fun (next, edge_cost) ->
+            if not (Hashtbl.mem visited next) then
+              push (cost +. edge_cost) next hop)
+          lsa.neighbors
+    end
   done;
   (* first-hop neighbor -> port *)
   let port_of_neighbor =

@@ -28,20 +28,18 @@ module Ibq = struct
       len = 0;
     }
 
-  let peek_key q =
-    if q.len = 0 then None else Some (q.times.(q.head), q.seqs.(q.head))
+  let is_empty q = q.len = 0
+  let min_time q = q.times.(q.head)
+  let min_seq q = q.seqs.(q.head)
 
-  let pop q =
-    if q.len = 0 then None
-    else begin
-      let i = q.head in
-      let r = (q.times.(i), q.seqs.(i), q.vals.(i)) in
-      q.vals.(i) <- q.dummy;
-      q.head <- i + 1;
-      q.len <- q.len - 1;
-      if q.len = 0 then q.head <- 0;
-      Some r
-    end
+  let pop_min q =
+    let i = q.head in
+    let v = q.vals.(i) in
+    q.vals.(i) <- q.dummy;
+    q.head <- i + 1;
+    q.len <- q.len - 1;
+    if q.len = 0 then q.head <- 0;
+    v
 
   (* the tail hit the end of the arrays: slide the live span back to the
      front, or double if it is genuinely full *)
@@ -424,31 +422,25 @@ let rec drain t ib ~key:(my_t, my_s) =
     ib.ib_draining <- true;
     let delivered = ref false in
     let rec loop () =
-      match Ibq.peek_key ib.ib_queue with
-      | None -> ()
-      | Some (pt, ps) ->
+      if not (Ibq.is_empty ib.ib_queue) then begin
+        let pt = Ibq.min_time ib.ib_queue and ps = Ibq.min_seq ib.ib_queue in
         let is_self = pt = my_t && ps = my_s in
         let still_next =
-          pt = now t
-          &&
-          match Sim.Engine.peek_next_key t.engine with
-          | None -> true
-          | Some (ht, hs) -> pt < ht || (pt = ht && ps < hs)
+          pt = now t && Sim.Engine.precedes_next t.engine ~time:pt ~seq:ps
         in
         if is_self || still_next then begin
-          (match Ibq.pop ib.ib_queue with
-          | Some (_, _, p) ->
-            if not p.p_cancelled then begin
-              match p.p_work with
-              | P_deliver d ->
-                delivered := true;
-                deliver t ~link:d.pl_link ~from_node:d.pl_from
-                  ~frame:d.pl_frame ~head:d.pl_head ~tail:d.pl_tail
-              | P_thunk f -> f ()
-            end
-          | None -> ());
+          let p = Ibq.pop_min ib.ib_queue in
+          if not p.p_cancelled then begin
+            match p.p_work with
+            | P_deliver d ->
+              delivered := true;
+              deliver t ~link:d.pl_link ~from_node:d.pl_from
+                ~frame:d.pl_frame ~head:d.pl_head ~tail:d.pl_tail
+            | P_thunk f -> f ()
+          end;
           loop ()
         end
+      end
     in
     loop ();
     ib.ib_draining <- false;
@@ -460,10 +452,8 @@ let rec drain t ib ~key:(my_t, my_s) =
 
 and arm t ib =
   if ib.ib_draining then ()
-  else
-  match Ibq.peek_key ib.ib_queue with
-  | None -> ()
-  | Some (time, seq) ->
+  else if not (Ibq.is_empty ib.ib_queue) then begin
+    let time = Ibq.min_time ib.ib_queue and seq = Ibq.min_seq ib.ib_queue in
     let need =
       match ib.ib_armed with
       | None -> true
@@ -475,6 +465,7 @@ and arm t ib =
         (Sim.Engine.schedule_keyed t.engine ~time ~seq (fun () ->
              drain t ib ~key:(time, seq)))
     end
+  end
 
 let cancel_delivery t = function
   | D_event h -> Sim.Engine.cancel t.engine h
@@ -566,9 +557,8 @@ let rec start_transmission t op link frame =
 
 and complete t op =
   op.current <- None;
-  match Sim.Heap.pop op.queue with
-  | None -> ()
-  | Some (_, _, frame) ->
+  if not (Sim.Heap.is_empty op.queue) then begin
+    let frame = Sim.Heap.pop_min op.queue in
     op.queued_bytes <- op.queued_bytes - Bytes.length frame.Frame.payload;
     Sim.Stats.Timeweighted.set op.qtrack ~now:(now t)
       (float_of_int (Sim.Heap.size op.queue));
@@ -578,6 +568,7 @@ and complete t op =
       op.dropped_no_link <- op.dropped_no_link + 1;
       C.incr t.agg.agg_dropped_no_link;
       complete t op)
+  end
 
 let enqueue t op frame =
   if op.queued_bytes + Bytes.length frame.Frame.payload > op.buffer_bytes then begin
@@ -712,16 +703,12 @@ let purge_node t ~node =
           op.current <- None;
           incr dropped
         | None -> ());
-        let rec drain () =
-          match Sim.Heap.pop op.queue with
-          | None -> ()
-          | Some (_, _, frame) ->
-            op.queued_bytes <- op.queued_bytes - Bytes.length frame.Frame.payload;
-            mark_purged frame;
-            incr dropped;
-            drain ()
-        in
-        drain ();
+        while not (Sim.Heap.is_empty op.queue) do
+          let frame = Sim.Heap.pop_min op.queue in
+          op.queued_bytes <- op.queued_bytes - Bytes.length frame.Frame.payload;
+          mark_purged frame;
+          incr dropped
+        done;
         Sim.Stats.Timeweighted.set op.qtrack ~now:(now t) 0.0;
         op.purged <- op.purged + !dropped;
         C.add t.agg.agg_purged !dropped;

@@ -34,11 +34,12 @@ val schedule_keyed : t -> time:Time.t -> seq:int -> (unit -> unit) -> handle
     the heap at exactly the key of the next queued delivery. The time
     must not be in the past; the seq must be non-negative. *)
 
-val peek_next_key : t -> (Time.t * int) option
-(** [(time, seq)] of the earliest queued event (cancelled ones
-    included), or [None] when the queue is empty. A batching cursor
-    compares this against its own queue's front to decide whether the
-    next delivery is still globally next. *)
+val precedes_next : t -> time:Time.t -> seq:int -> bool
+(** [precedes_next t ~time ~seq] is [true] when the key [(time, seq)]
+    sorts strictly before the earliest queued event (cancelled ones
+    included), or the queue is empty. A batching cursor asks this of
+    its own queue's front to decide whether the next delivery is still
+    globally next. *)
 
 val cancel : t -> handle -> unit
 (** Cancelling an already-run or already-cancelled event is a no-op. *)
@@ -56,9 +57,9 @@ val schedule_foreign : t -> time:Time.t -> seq:int -> (unit -> unit) -> unit
     {!foreign_seq_base} (so foreign arrivals never interleave local
     events of the same instant) and [time] must not be in the past. *)
 
-val next_time : t -> Time.t option
+val next_time : t -> Time.t
 (** Time of the earliest queued event (cancelled ones included), or
-    [None] when the queue is empty — the engine-side input to a
+    [max_int] when the queue is empty — the engine-side input to a
     conservative shard's time promise. *)
 
 val run : ?until:Time.t -> ?max_events:int -> t -> unit

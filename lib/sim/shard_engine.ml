@@ -92,22 +92,19 @@ let outbound_sent t ?(edge = 0) ~head () =
    transmissions cancelled by preemption or a node crash, and must not
    pin the promise in the past. *)
 let rec min_pending t e =
-  match Heap.peek_time e.pending with
-  | None -> max_int
-  | Some head ->
+  if Heap.is_empty e.pending then max_int
+  else begin
+    let head = Heap.min_time e.pending in
     let live = Hashtbl.mem e.counts head in
     if live && head > Engine.now t.engine then head
     else begin
-      ignore (Heap.pop e.pending);
+      Heap.pop_min e.pending;
       if live then Hashtbl.remove e.counts head;
       min_pending t e
     end
+  end
 
-let earliest_cause t ~safe_in =
-  let next_local =
-    match Engine.next_time t.engine with Some time -> time | None -> max_int
-  in
-  min next_local safe_in
+let earliest_cause t ~safe_in = min (Engine.next_time t.engine) safe_in
 
 let promise_one t e ~cause =
   let base =

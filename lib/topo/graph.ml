@@ -168,31 +168,29 @@ let shortest_path_excluding g ~metric ~src ~dst ~banned_links ~banned_nodes =
   dist.(src) <- 0.0;
   push 0.0 src;
   let finished = ref false in
-  while not !finished do
-    match Sim.Heap.pop heap with
-    | None -> finished := true
-    | Some (_, _, (cost, u)) ->
-      if (not visited.(u)) && cost <= dist.(u) then begin
-        visited.(u) <- true;
-        if u = dst then finished := true
-        else
-          Hashtbl.iter
-            (fun p l ->
-              if not (List.mem l.link_id banned_links) then begin
-                let v, _ = peer l u in
-                if (not (List.mem v banned_nodes)) && not visited.(v) then begin
-                  let w = metric l in
-                  if w <= 0.0 then invalid_arg "Graph: metric must be positive";
-                  let alt = dist.(u) +. w in
-                  if alt < dist.(v) then begin
-                    dist.(v) <- alt;
-                    prev.(v) <- Some (u, p);
-                    push alt v
-                  end
+  while (not !finished) && not (Sim.Heap.is_empty heap) do
+    let cost, u = Sim.Heap.pop_min heap in
+    if (not visited.(u)) && cost <= dist.(u) then begin
+      visited.(u) <- true;
+      if u = dst then finished := true
+      else
+        Hashtbl.iter
+          (fun p l ->
+            if not (List.mem l.link_id banned_links) then begin
+              let v, _ = peer l u in
+              if (not (List.mem v banned_nodes)) && not visited.(v) then begin
+                let w = metric l in
+                if w <= 0.0 then invalid_arg "Graph: metric must be positive";
+                let alt = dist.(u) +. w in
+                if alt < dist.(v) then begin
+                  dist.(v) <- alt;
+                  prev.(v) <- Some (u, p);
+                  push alt v
                 end
-              end)
-            (get g u).ports
-      end
+              end
+            end)
+          (get g u).ports
+    end
   done;
   if dist.(dst) = infinity then None
   else begin
@@ -233,28 +231,25 @@ let shortest_path_tree g ~metric ~src =
   in
   dist.(src) <- 0.0;
   push 0.0 src;
-  let finished = ref false in
-  while not !finished do
-    match Sim.Heap.pop heap with
-    | None -> finished := true
-    | Some (_, _, (cost, u)) ->
-      if (not visited.(u)) && cost <= dist.(u) then begin
-        visited.(u) <- true;
-        Hashtbl.iter
-          (fun p l ->
-            let v, _ = peer l u in
-            if not visited.(v) then begin
-              let w = metric l in
-              if w <= 0.0 then invalid_arg "Graph: metric must be positive";
-              let alt = dist.(u) +. w in
-              if alt < dist.(v) then begin
-                dist.(v) <- alt;
-                prev.(v) <- Some (u, p);
-                push alt v
-              end
-            end)
-          (get g u).ports
-      end
+  while not (Sim.Heap.is_empty heap) do
+    let cost, u = Sim.Heap.pop_min heap in
+    if (not visited.(u)) && cost <= dist.(u) then begin
+      visited.(u) <- true;
+      Hashtbl.iter
+        (fun p l ->
+          let v, _ = peer l u in
+          if not visited.(v) then begin
+            let w = metric l in
+            if w <= 0.0 then invalid_arg "Graph: metric must be positive";
+            let alt = dist.(u) +. w in
+            if alt < dist.(v) then begin
+              dist.(v) <- alt;
+              prev.(v) <- Some (u, p);
+              push alt v
+            end
+          end)
+        (get g u).ports
+    end
   done;
   { spt_src = src; spt_prev = prev; spt_dist = dist }
 

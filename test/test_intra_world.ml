@@ -345,7 +345,6 @@ let run_cluster ?epoch ?(faults = false) ?(batching = false) ?(pooling = false)
   Array.iteri
     (fun r gw -> ignore (Sirpent.Router.create (S.world cluster r) ~node:gw ()))
     gws;
-  let received = ref 0 in
   let endpoints = Hashtbl.create 16 in
   Array.iteri
     (fun r hs ->
@@ -353,7 +352,6 @@ let run_cluster ?epoch ?(faults = false) ?(batching = false) ?(pooling = false)
         (fun h ->
           let ht = Sirpent.Host.create (S.world cluster r) ~node:h in
           Sirpent.Host.set_receive ht (fun ht ~packet ~in_port ->
-              incr received;
               (* pings get a pong back along the reconstructed return
                  route; pongs terminate *)
               if Bytes.length packet.Viper.Packet.data > 0
@@ -421,7 +419,10 @@ let run_cluster ?epoch ?(faults = false) ?(batching = false) ?(pooling = false)
           Telemetry.Registry.snapshot (W.metrics (S.world cluster r)));
     events = S.merged_events cluster;
     flights = S.merged_flights cluster;
-    received = !received;
+    (* each host's own counter, written only by its region's domain and
+       summed once every domain has joined *)
+    received =
+      Hashtbl.fold (fun _ ht acc -> acc + Sirpent.Host.received ht) endpoints 0;
   }
 
 let until = Sim.Time.ms 80

@@ -86,24 +86,25 @@ let rng_shuffle_permutes () =
 
 (* Heap *)
 
+let pop_value h =
+  if Sim.Heap.is_empty h then "?" else Sim.Heap.pop_min h
+
 let heap_orders_by_time () =
   let h = Sim.Heap.create () in
   Sim.Heap.push h ~time:30 ~seq:0 "c";
   Sim.Heap.push h ~time:10 ~seq:1 "a";
   Sim.Heap.push h ~time:20 ~seq:2 "b";
-  let pop () = match Sim.Heap.pop h with Some (_, _, v) -> v | None -> "?" in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
+  let first = pop_value h in
+  let second = pop_value h in
+  let third = pop_value h in
   Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ]
 
 let heap_fifo_within_time () =
   let h = Sim.Heap.create () in
   Sim.Heap.push h ~time:5 ~seq:0 "first";
   Sim.Heap.push h ~time:5 ~seq:1 "second";
-  let pop () = match Sim.Heap.pop h with Some (_, _, v) -> v | None -> "?" in
-  let first = pop () in
-  let second = pop () in
+  let first = pop_value h in
+  let second = pop_value h in
   Alcotest.(check (list string)) "fifo" [ "first"; "second" ] [ first; second ]
 
 let heap_many_random () =
@@ -114,17 +115,109 @@ let heap_many_random () =
   done;
   let last = ref min_int in
   let count = ref 0 in
-  let rec drain () =
-    match Sim.Heap.pop h with
-    | None -> ()
-    | Some (time, _, _) ->
-      check_bool "monotone" true (time >= !last);
-      last := time;
-      incr count;
-      drain ()
-  in
-  drain ();
+  while not (Sim.Heap.is_empty h) do
+    let time = Sim.Heap.min_time h in
+    ignore (Sim.Heap.pop_min h);
+    check_bool "monotone" true (time >= !last);
+    last := time;
+    incr count
+  done;
   check_int "all popped" 1000 !count
+
+(* Float values are stored boxed in an ordinary array, never in a flat
+   float array built from the immediate filler. *)
+let heap_float_values () =
+  let h = Sim.Heap.create () in
+  List.iteri (fun i x -> Sim.Heap.push h ~time:(-i) ~seq:i x) [ 0.5; 1.5; 2.5; 3.5 ];
+  let popped = List.init 4 (fun _ -> Sim.Heap.pop_min h) in
+  Alcotest.(check (list (float 0.0))) "floats intact" [ 3.5; 2.5; 1.5; 0.5 ] popped
+
+let heap_empty_raises () =
+  let h : int Sim.Heap.t = Sim.Heap.create () in
+  Alcotest.check_raises "min_time" (Invalid_argument "Heap.min_time: empty heap")
+    (fun () -> ignore (Sim.Heap.min_time h));
+  Alcotest.check_raises "min_seq" (Invalid_argument "Heap.min_seq: empty heap")
+    (fun () -> ignore (Sim.Heap.min_seq h));
+  Alcotest.check_raises "pop_min" (Invalid_argument "Heap.pop_min: empty heap")
+    (fun () -> ignore (Sim.Heap.pop_min h))
+
+(* A popped value must not stay reachable from the heap: not from the
+   vacated tail slot, nor from the root it was read out of. *)
+let heap_pop_releases_value () =
+  let h = Sim.Heap.create () in
+  let w = Weak.create 3 in
+  let fill () =
+    for i = 0 to 2 do
+      let v = Bytes.make 64 (Char.chr (Char.code 'a' + i)) in
+      Weak.set w i (Some v);
+      Sim.Heap.push h ~time:i ~seq:i v
+    done
+  in
+  fill ();
+  let live () = List.init 3 (fun i -> Weak.check w i) in
+  ignore (Sim.Heap.pop_min h);
+  Gc.full_major ();
+  Alcotest.(check (list bool)) "first pop released" [ false; true; true ] (live ());
+  ignore (Sim.Heap.pop_min h);
+  ignore (Sim.Heap.pop_min h);
+  Gc.full_major ();
+  Alcotest.(check (list bool)) "drained heap holds nothing" [ false; false; false ]
+    (live ());
+  check_bool "empty" true (Sim.Heap.is_empty h)
+
+(* Model test: random interleaved pushes and pops against a sorted-list
+   reference. Times come from a small range so equal-time ties are
+   common; seqs are distinct but not monotone in push order, so ties are
+   broken by seq rather than by arrival; runs of up to 400 operations
+   grow the heap across several capacity doublings. *)
+type heap_op = Push of int * int | Pop
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun t r -> Push (t, r)) (int_range 0 15) (int_range 0 7));
+        (1, return Pop);
+      ])
+
+let qcheck_heap_model =
+  QCheck.Test.make ~name:"heap matches a sorted-list model" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 400) heap_op_gen))
+    (fun ops ->
+      let h = Sim.Heap.create () in
+      let model = ref [] in
+      let key (t, s, _) = (t, s) in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Push (time, r) ->
+            let seq = (r * 1_000_000) + i in
+            Sim.Heap.push h ~time ~seq i;
+            model :=
+              List.merge (fun a b -> compare (key a) (key b)) [ (time, seq, i) ] !model
+          | Pop -> (
+            match !model with
+            | [] -> expect (Sim.Heap.is_empty h)
+            | (time, seq, v) :: rest ->
+              expect (Sim.Heap.min_time h = time);
+              expect (Sim.Heap.min_seq h = seq);
+              expect (Sim.Heap.pop_min h = v);
+              model := rest));
+          expect (Sim.Heap.size h = List.length !model);
+          expect (Sim.Heap.is_empty h = (!model = []));
+          match !model with
+          | (time, seq, _) :: _ ->
+            expect (Sim.Heap.min_time h = time && Sim.Heap.min_seq h = seq)
+          | [] -> ())
+        ops;
+      (* drain: the remainder comes out in model order *)
+      List.iter
+        (fun (_, _, v) ->
+          expect ((not (Sim.Heap.is_empty h)) && Sim.Heap.pop_min h = v))
+        !model;
+      !ok && Sim.Heap.is_empty h)
 
 (* Engine *)
 
@@ -171,6 +264,31 @@ let engine_rejects_past () =
   Sim.Engine.run e;
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_at: time in the past")
     (fun () -> ignore (Sim.Engine.schedule_at e ~time:5 (fun () -> ())))
+
+(* Cancelled handles are skipped without counting as executed, and
+   [~until] is inclusive: an event at exactly that time runs. *)
+let engine_cancel_and_until_boundary () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let at time name =
+    Sim.Engine.schedule_at e ~time (fun () -> log := name :: !log)
+  in
+  ignore (at 10 "a");
+  let b = at 20 "b" in
+  ignore (at 30 "c");
+  let d = at 30 "d" in
+  ignore (at 31 "e");
+  Sim.Engine.cancel e b;
+  Sim.Engine.cancel e d;
+  Sim.Engine.run ~until:30 e;
+  Alcotest.(check (list string)) "ran up to and at until" [ "a"; "c" ] (List.rev !log);
+  check_int "cancelled not counted" 2 (Sim.Engine.executed e);
+  check_int "clock at until" 30 (Sim.Engine.now e);
+  check_int "later event still queued" 1 (Sim.Engine.pending e);
+  check_int "next time" 31 (Sim.Engine.next_time e);
+  Sim.Engine.run e;
+  check_int "all live events ran" 3 (Sim.Engine.executed e);
+  check_int "empty queue has no next time" max_int (Sim.Engine.next_time e)
 
 let engine_max_events () =
   let e = Sim.Engine.create () in
@@ -318,6 +436,37 @@ let qcheck_engine_order =
       Sim.Engine.run e;
       !ok)
 
+(* Engine model: random schedule times, a random subset cancelled, run
+   to a random horizon. Exactly the live events at or before the horizon
+   run, in (time, scheduling order), and only they count as executed. *)
+let qcheck_engine_cancel_until =
+  QCheck.Test.make ~name:"engine runs exactly the live events up to until"
+    ~count:200
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 120) (pair (int_range 0 50) bool))
+        (int_range 0 60))
+    (fun (events, until) ->
+      let e = Sim.Engine.create () in
+      let log = ref [] in
+      List.iteri
+        (fun i (time, cancelled) ->
+          let h = Sim.Engine.schedule_at e ~time (fun () -> log := i :: !log) in
+          if cancelled then Sim.Engine.cancel e h)
+        events;
+      Sim.Engine.run ~until e;
+      let expected =
+        List.mapi (fun i (time, cancelled) -> (time, i, cancelled)) events
+        |> List.filter (fun (time, _, cancelled) -> (not cancelled) && time <= until)
+        |> List.sort compare
+        |> List.map (fun (_, i, _) -> i)
+      in
+      List.rev !log = expected
+      && Sim.Engine.executed e = List.length expected
+      && Sim.Engine.now e = until
+      && Sim.Engine.pending e
+         = List.length (List.filter (fun (time, _) -> time > until) events))
+
 let () =
   Alcotest.run "sim"
     [
@@ -342,6 +491,9 @@ let () =
           Alcotest.test_case "orders by time" `Quick heap_orders_by_time;
           Alcotest.test_case "fifo within a time" `Quick heap_fifo_within_time;
           Alcotest.test_case "many random" `Quick heap_many_random;
+          Alcotest.test_case "float values" `Quick heap_float_values;
+          Alcotest.test_case "empty accessors raise" `Quick heap_empty_raises;
+          Alcotest.test_case "pop releases value" `Quick heap_pop_releases_value;
         ] );
       ( "engine",
         [
@@ -351,6 +503,8 @@ let () =
           Alcotest.test_case "until stops clock" `Quick engine_until_stops_clock;
           Alcotest.test_case "rejects the past" `Quick engine_rejects_past;
           Alcotest.test_case "max_events bounds" `Quick engine_max_events;
+          Alcotest.test_case "cancel and until boundary" `Quick
+            engine_cancel_and_until_boundary;
         ] );
       ( "stats",
         [
@@ -372,5 +526,6 @@ let () =
             trace_capacity_zero_skips_formatting;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_engine_order ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_engine_order; qcheck_heap_model; qcheck_engine_cancel_until ] );
     ]
