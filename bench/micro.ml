@@ -6,6 +6,8 @@ open Toolkit
 
 module Seg = Viper.Segment
 module Pkt = Viper.Packet
+module G = Topo.Graph
+module W = Netsim.World
 
 let ether_info =
   let w = Wire.Buf.create_writer 14 in
@@ -117,8 +119,73 @@ let heap_churn heap () =
 let shallow_heap = event_heap 256
 let deep_heap = event_heap 400_000
 
+(* L1, the world's link and port queue: one 64 B frame handed to
+   [World.send] on a single link, then the engine drains its
+   transmission and delivery. *)
+let one_link =
+  lazy
+    (let g = G.create () in
+     let a = G.add_node g G.Host and b = G.add_node g G.Host in
+     let port, _ = G.connect g a b G.default_props in
+     let engine = Sim.Engine.create () in
+     let world = W.create engine g in
+     W.set_handler world b (fun _ ~in_port:_ ~frame:_ ~head:_ ~tail:_ -> ());
+     (engine, world, a, port, Bytes.make 64 'w'))
+
+let world_send_deliver () =
+  let engine, world, a, port, payload = Lazy.force one_link in
+  ignore (W.send world ~node:a ~port (W.fresh_frame world payload));
+  Sim.Engine.run engine
+
+(* L3, the router hop: a 64 B packet handed to a router through
+   [World.deliver_direct] on its in-port, switched cut-through to its
+   out-port, and delivered to the host there. *)
+let hop engine world ~node ~in_port payload =
+  let now = Sim.Engine.now engine in
+  W.deliver_direct world ~node ~in_port ~frame:(W.fresh_frame world payload)
+    ~head:now ~tail:now;
+  Sim.Engine.run engine
+
+let router_hop =
+  lazy
+    (let g = G.create () in
+     let src = G.add_node g G.Host and r = G.add_node g G.Router in
+     let dst = G.add_node g G.Host in
+     let _, in_port = G.connect g src r G.default_props in
+     let out_port, _ = G.connect g r dst G.default_props in
+     let engine = Sim.Engine.create () in
+     let world = W.create engine g in
+     ignore (Sirpent.Router.create world ~node:r ());
+     let arrived = ref 0 in
+     W.set_handler world dst (fun _ ~in_port:_ ~frame:_ ~head:_ ~tail:_ -> incr arrived);
+     let data = Bytes.make 64 'd' in
+     let viper =
+       Pkt.build
+         ~route:[ Seg.make ~port:out_port (); Seg.make ~port:Seg.local_port () ]
+         ~data
+     in
+     let xsr = Viper.Xsr.encode ~ports:[ out_port ] ~data () in
+     hop engine world ~node:r ~in_port viper;
+     hop engine world ~node:r ~in_port (Bytes.copy xsr);
+     if !arrived <> 2 then failwith "micro: router hop did not forward";
+     (engine, world, r, in_port, viper, xsr, Bytes.copy xsr))
+
+(* the VIPER hop copies its input; the packet is reused *)
+let router_hop_viper () =
+  let engine, world, r, in_port, viper, _, _ = Lazy.force router_hop in
+  hop engine world ~node:r ~in_port viper
+
+(* the XSR hop advances its header in place: each hop gets a fresh copy *)
+let router_hop_xsr () =
+  let engine, world, r, in_port, _, xsr, buf = Lazy.force router_hop in
+  Bytes.blit xsr 0 buf 0 (Bytes.length xsr);
+  hop engine world ~node:r ~in_port buf
+
 let tests =
   [
+    Test.make ~name:"world send+deliver, one link" (Staged.stage world_send_deliver);
+    Test.make ~name:"router hop, viper (deliver_direct)" (Staged.stage router_hop_viper);
+    Test.make ~name:"router hop, xsr (deliver_direct)" (Staged.stage router_hop_xsr);
     Test.make ~name:"viper segment encode" (Staged.stage (fun () ->
         ignore (Seg.encode sample_segment)));
     Test.make ~name:"sim heap push+pop (256 live)"

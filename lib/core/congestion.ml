@@ -165,10 +165,12 @@ let reschedule_drain t lim =
   drain t lim
 
 let submit t ~out_port ~next_port ~bytes ~send =
-  let key =
-    match next_port with Some n -> Some (out_port, n) | None -> None
-  in
-  match Option.bind key (Hashtbl.find_opt t.limiters) with
+  match
+    match next_port with
+    | Some n when Hashtbl.length t.limiters > 0 ->
+      Hashtbl.find_opt t.limiters (out_port, n)
+    | Some _ | None -> None
+  with
   | None -> send ()
   | Some lim ->
     refill t lim;

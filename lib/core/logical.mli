@@ -17,7 +17,8 @@ type t
 
 val create : unit -> t
 val set : t -> port:int -> mapping -> unit
-(** Raises [Invalid_argument] for an empty group/splice. *)
+(** Raises [Invalid_argument] for an empty group/splice, or for a port
+    outside 0-255 (no one-byte segment can address it). *)
 
 val clear : t -> port:int -> unit
 val lookup : t -> port:int -> mapping option

@@ -62,9 +62,11 @@ type t = {
   ledger : Token.Account.t;
   logical : Logical.t;
   congestion : Congestion.t option;
-  port_groups : (int, G.port list) Hashtbl.t;
-  port_handlers :
-    (int, seg:Seg.t -> rest:bytes -> in_port:G.port -> unit) Hashtbl.t;
+  mutable port_groups : G.port list option array;
+  mutable port_handlers :
+    (seg:Seg.t -> rest:bytes -> in_port:G.port -> unit) option array;
+      (** both indexed by the one-byte VIPER port: empty until the first
+          set, then 256 slots *)
   mutable on_local : (packet:Pkt.t -> in_port:G.port -> unit) option;
   mutable up : bool;
   mutable epoch : int;  (** bumped on crash: pending deferred work dies with it *)
@@ -115,7 +117,8 @@ let stats t : stats =
 let set_port_group t ~port ~ports =
   if port < Seg.multicast_port_first || port >= Viper.Multicast.tree_port then
     invalid_arg "Router.set_port_group: port must be 240-253";
-  Hashtbl.replace t.port_groups port ports
+  if Array.length t.port_groups = 0 then t.port_groups <- Array.make 256 None;
+  t.port_groups.(port) <- Some ports
 
 let set_local_delivery t f = t.on_local <- Some f
 
@@ -143,15 +146,7 @@ let schedule t ~time f =
   W.defer t.world ~node:t.node ~time:(max time (now t)) (fun () ->
       if t.up && t.epoch = epoch then f ())
 
-let link_rate t port =
-  match G.link_via (W.graph t.world) t.node port with
-  | Some l -> Some l.G.props.G.bandwidth_bps
-  | None -> None
-
-let link_mtu t port =
-  match G.link_via (W.graph t.world) t.node port with
-  | Some l -> Some l.G.props.G.mtu
-  | None -> None
+let link t port = G.link_via (W.graph t.world) t.node port
 
 (* "It then revises the network-specific portion, if any, so that it
    constitutes a correct return hop through this router": an Ethernet
@@ -190,23 +185,16 @@ let return_segment t ~seg ~in_port ~in_info ~grant =
    plus the switching decision for cut-through (input and output rates
    equal), or after the whole packet plus software processing otherwise. *)
 let act_time t ~in_port ~out_port ~head ~tail ~header_size =
-  let in_rate = link_rate t in_port and out_rate = link_rate t out_port in
-  let can_cut =
-    (not t.config.store_and_forward)
-    &&
-    match in_rate, out_rate with
-    | Some ir, Some orate -> ir = orate
-    | _, _ -> false
-  in
-  if can_cut then begin
+  match link t in_port, link t out_port with
+  | Some il, Some ol
+    when (not t.config.store_and_forward)
+         && il.G.props.G.bandwidth_bps = ol.G.props.G.bandwidth_bps ->
     let header_tx =
-      match in_rate with
-      | Some r -> Sim.Time.transmission ~bits:(8 * header_size) ~rate_bps:r
-      | None -> 0
+      Sim.Time.transmission ~bits:(8 * header_size)
+        ~rate_bps:il.G.props.G.bandwidth_bps
     in
     (`Cut, head + header_tx + t.config.decision_time)
-  end
-  else (`Store, tail + t.config.process_time)
+  | _, _ -> (`Store, tail + t.config.process_time)
 
 let count_send_result t ~frame ~in_port result =
   match result with
@@ -219,7 +207,8 @@ let count_send_result t ~frame ~in_port result =
    limiter for its (out_port, next_port) queue. [next_port] is the port
    the NEXT node will forward on — the leading segment's port (VIPER) or
    the next XSR lane — exactly the queue a Rate_ctl limiter is keyed by;
-   both source-routed formats expose it without per-flow state. *)
+   both source-routed formats expose it without per-flow state. Routers
+   without congestion control pass [None] and skip the peek. *)
 let dispatch t ~priority ~dib ~next_port ~frame ~in_port ~out_port ~payload ~when_ =
   let send () =
     match t.config.blocked with
@@ -288,10 +277,10 @@ let forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head ~t
   | forwarded ->
     if recycle then W.release_payload t.world payload;
     let forwarded =
-      match link_mtu t out_port with
-      | Some mtu when Bytes.length forwarded > mtu ->
+      match link t out_port with
+      | Some l when Bytes.length forwarded > l.G.props.G.mtu ->
         C.incr t.truncated;
-        let cut = Pkt.truncate_to forwarded ~max:(mtu - 4) in
+        let cut = Pkt.truncate_to forwarded ~max:(l.G.props.G.mtu - 4) in
         (* truncate_to copies; the pre-truncation hop output is ours *)
         if cut != forwarded then W.release_payload t.world forwarded;
         cut
@@ -316,9 +305,12 @@ let forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head ~t
     | Some c -> Congestion.note_arrival c ~in_port ~out_port
     | None -> ());
     let next_port =
-      match Pkt.peek_ports forwarded with
-      | first, _ -> Some first
-      | exception _ -> None
+      match t.congestion with
+      | None -> None
+      | Some _ -> (
+        match Pkt.peek_ports forwarded with
+        | first, _ -> Some first
+        | exception _ -> None)
     in
     dispatch t ~priority:seg.Seg.priority ~dib:seg.Seg.flags.Seg.dib ~next_port
       ~frame ~in_port ~out_port ~payload:forwarded ~when_
@@ -430,7 +422,11 @@ let rec process t ~frame ~payload ~in_port ~in_info ~head ~tail ~depth =
       if seg.Seg.port = Seg.local_port then
         deliver_local t ~frame ~payload ~in_port ~tail
       else begin
-        match Hashtbl.find_opt t.port_handlers seg.Seg.port with
+        match
+          if seg.Seg.port < Array.length t.port_handlers then
+            t.port_handlers.(seg.Seg.port)
+          else None
+        with
         | Some f ->
           (* custom port (e.g. an interop tunnel): hand over after full
              reception, like any store-and-forward boundary *)
@@ -461,7 +457,11 @@ let rec process t ~frame ~payload ~in_port ~in_info ~head ~tail ~depth =
             tree_multicast t ~seg ~frame ~rest:(rest ()) ~in_port ~in_info ~head
               ~tail ~depth
           else if Seg.is_multicast_port seg.Seg.port then begin
-            match Hashtbl.find_opt t.port_groups seg.Seg.port with
+            match
+              if seg.Seg.port < Array.length t.port_groups then
+                t.port_groups.(seg.Seg.port)
+              else None
+            with
             | Some ports ->
               multicast t ~seg ~frame ~payload ~pos ~in_port ~in_info ~head ~tail
                 ~header_size ~ports
@@ -629,8 +629,8 @@ let process_xsr t ~frame ~payload ~in_port ~head ~tail =
       flight_drop t ~frame ~in_port ~reason:"malformed"
     | Viper.Xsr.Deliver -> deliver_local_xsr t ~frame ~payload ~in_port ~tail
     | Viper.Xsr.Forward out_port -> (
-      match link_mtu t out_port with
-      | Some mtu when Bytes.length payload > mtu ->
+      match link t out_port with
+      | Some l when Bytes.length payload > l.G.props.G.mtu ->
         (* constant-size headers cannot carry a truncation marker, so an
            over-MTU XSR packet is a counted drop, not a graceful cut *)
         C.incr t.truncated;
@@ -657,9 +657,13 @@ let process_xsr t ~frame ~payload ~in_port ~head ~tail =
         (match t.congestion with
         | Some c -> Congestion.note_arrival c ~in_port ~out_port
         | None -> ());
-        dispatch t ~priority:(Viper.Xsr.priority payload) ~dib:false
-          ~next_port:(Viper.Xsr.peek_next_port payload) ~frame ~in_port
-          ~out_port ~payload ~when_)
+        let next_port =
+          match t.congestion with
+          | None -> None
+          | Some _ -> Viper.Xsr.peek_next_port payload
+        in
+        dispatch t ~priority:(Viper.Xsr.priority payload) ~dib:false ~next_port
+          ~frame ~in_port ~out_port ~payload ~when_)
 
 let handle t _world ~in_port ~frame ~head ~tail =
   if not t.up then begin
@@ -703,8 +707,8 @@ let create ?(config = default_config) ?key world ~node () =
       ledger;
       logical = Logical.create ();
       congestion;
-      port_groups = Hashtbl.create 4;
-      port_handlers = Hashtbl.create 4;
+      port_groups = [||];
+      port_handlers = [||];
       on_local = None;
       up = true;
       epoch = 0;
@@ -735,7 +739,9 @@ let create ?(config = default_config) ?key world ~node () =
 let set_port_handler t ~port f =
   if port <= 0 || port >= Seg.multicast_port_first then
     invalid_arg "Router.set_port_handler: port must be 1-239";
-  Hashtbl.replace t.port_handlers port f
+  if Array.length t.port_handlers = 0 then
+    t.port_handlers <- Array.make 256 None;
+  t.port_handlers.(port) <- Some f
 
 let inject t ~payload ~in_port ~return_info =
   if not t.up then C.incr t.dropped_down

@@ -185,29 +185,37 @@ and agg = {
   agg_handler_errors : Telemetry.Registry.Counter.t;
 }
 
+(* Node and link state lives in arrays indexed by the graph's dense ids:
+   per node a handler, an error count, a departure tap, an inbox and an
+   array of outports indexed by port; per link a store-and-forward flag
+   and a bit error rate. Every array starts empty and grows on first
+   write (the graph may grow after [create]); a read past the end is the
+   unset value. *)
 and t = {
   engine : Sim.Engine.t;
   graph : G.t;
   default_buffer_bytes : int;
-  handlers : (G.node_id, handler) Hashtbl.t;
-  outports : (G.node_id * G.port, outport) Hashtbl.t;
-  ber : (int, float) Hashtbl.t;  (** link_id -> bit error rate *)
-  sf_links : (int, unit) Hashtbl.t;
-      (** link_ids operated store-and-forward: the head of a frame leaves
-          only after the whole frame is serialized, so head arrival is
-          [finish + propagation] rather than [start + propagation] — which
-          makes [propagation + min transmission time] a sound cross-link
-          lookahead (trunk links between regions) *)
+  mutable handlers : handler option array;
+  mutable outports : outport option array array;
+      (** [outports.(node).(port)], created on the port's first use *)
+  mutable ber : float option array;  (** by link_id: bit error rate *)
+  mutable sf_links : bool array;
+      (** by link_id: operated store-and-forward: the head of a frame
+          leaves only after the whole frame is serialized, so head
+          arrival is [finish + propagation] rather than [start +
+          propagation] — which makes [propagation + min transmission
+          time] a sound cross-link lookahead (trunk links between
+          regions) *)
   rng : Sim.Rng.t;
   mutable corruptor : (link:G.link -> bytes -> bytes option) option;
       (** externally injected damage model (see [Faults]); takes precedence
           over the flat per-link BER table *)
-  handler_errors : (G.node_id, int) Hashtbl.t;
-  taps : (G.node_id, head:Sim.Time.t -> unit) Hashtbl.t;
+  mutable handler_errors : int array;
+  mutable taps : (head:Sim.Time.t -> unit) option array;
       (** departure taps: notified when a transmission whose delivery
           will arrive at the tapped node is scheduled (shard lookahead) *)
   batching : bool;
-  inboxes : (G.node_id, inbox) Hashtbl.t;
+  mutable inboxes : inbox option array;
   pool : Wire.Pool.t option;
       (** buffer arena for the forwarding fast path; [None] keeps plain
           allocation (the same-simulation control) *)
@@ -233,16 +241,16 @@ let create ?(default_buffer_bytes = 256 * 1024) ?(batching = false)
     engine;
     graph;
     default_buffer_bytes;
-    handlers = Hashtbl.create 64;
-    outports = Hashtbl.create 256;
-    ber = Hashtbl.create 8;
-    sf_links = Hashtbl.create 4;
+    handlers = [||];
+    outports = [||];
+    ber = [||];
+    sf_links = [||];
     rng = Sim.Rng.create 0xC0FFEEL;
     corruptor = None;
-    handler_errors = Hashtbl.create 8;
-    taps = Hashtbl.create 4;
+    handler_errors = [||];
+    taps = [||];
     batching;
-    inboxes = Hashtbl.create 64;
+    inboxes = [||];
     pool = (if pooling then Some (Wire.Pool.create ()) else None);
     flush_hooks = [];
     next_frame_id = 0;
@@ -286,36 +294,73 @@ let trace t fmt =
   | Some tr -> Sim.Trace.recordf tr ~time:(now t) fmt
   | None -> Printf.ikfprintf ignore () fmt
 
-let outport t node port =
-  match Hashtbl.find_opt t.outports (node, port) with
-  | Some op -> op
-  | None ->
-    let op =
-      {
-        op_node = node;
-        op_port = port;
-        current = None;
-        queue = Sim.Heap.create ();
-        qseq = 0;
-        queued_bytes = 0;
-        buffer_bytes = t.default_buffer_bytes;
-        sent_frames = 0;
-        sent_bytes = 0;
-        dropped_blocked = 0;
-        dropped_overflow = 0;
-        dropped_no_link = 0;
-        preempted = 0;
-        corrupted = 0;
-        purged = 0;
-        busy_time = 0;
-        qtrack = Sim.Stats.Timeweighted.create ~start:(now t) ~initial:0.0;
-      }
-    in
-    Hashtbl.replace t.outports (node, port) op;
-    op
+(* [a] grown to hold index [i], new slots set to [fill]: to at least
+   [hint] (the size of the id space now, e.g. the node count), doubling
+   past it, never beyond [cap] *)
+let grown ?(cap = max_int) a i ~hint fill =
+  let n = Array.length a in
+  if i < n then a
+  else begin
+    let fresh = Array.make (min cap (max (i + 1) (max hint (2 * n)))) fill in
+    Array.blit a 0 fresh 0 n;
+    fresh
+  end
 
-let set_handler t node h = Hashtbl.replace t.handlers node h
-let set_departure_tap t ~node f = Hashtbl.replace t.taps node f
+let node_hint t = G.node_count t.graph
+
+let check_port port =
+  if port < 0 || port > 255 then invalid_arg "World: port outside 0-255"
+
+let node_outports t node =
+  if node >= 0 && node < Array.length t.outports then Array.unsafe_get t.outports node
+  else [||]
+
+let create_outport t node port =
+  check_port port;
+  t.outports <- grown t.outports node ~hint:(node_hint t) [||];
+  let ports = grown ~cap:256 t.outports.(node) port ~hint:0 None in
+  t.outports.(node) <- ports;
+  let op =
+    {
+      op_node = node;
+      op_port = port;
+      current = None;
+      queue = Sim.Heap.create ();
+      qseq = 0;
+      queued_bytes = 0;
+      buffer_bytes = t.default_buffer_bytes;
+      sent_frames = 0;
+      sent_bytes = 0;
+      dropped_blocked = 0;
+      dropped_overflow = 0;
+      dropped_no_link = 0;
+      preempted = 0;
+      corrupted = 0;
+      purged = 0;
+      busy_time = 0;
+      qtrack = Sim.Stats.Timeweighted.create ~start:(now t) ~initial:0.0;
+    }
+  in
+  ports.(port) <- Some op;
+  op
+
+(* A port outside 0-255 raises [Invalid_argument]: no one-byte VIPER
+   segment can name it. *)
+let outport t node port =
+  let ports = node_outports t node in
+  if port >= 0 && port < Array.length ports then
+    match Array.unsafe_get ports port with
+    | Some op -> op
+    | None -> create_outport t node port
+  else create_outport t node port
+
+let set_handler t node h =
+  t.handlers <- grown t.handlers node ~hint:(node_hint t) None;
+  t.handlers.(node) <- Some h
+
+let set_departure_tap t ~node f =
+  t.taps <- grown t.taps node ~hint:(node_hint t) None;
+  t.taps.(node) <- Some f
 
 let fresh_frame t ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
     ?meta ?flight payload =
@@ -330,9 +375,19 @@ let import_frame t ?(priority = Token.Priority.normal) ?(drop_if_blocked = false
   { Frame.id; payload; priority; drop_if_blocked; born; meta = None; flight; aborted }
 
 let set_buffer_bytes t ~node ~port n = (outport t node port).buffer_bytes <- n
-let set_store_and_forward t ~link_id = Hashtbl.replace t.sf_links link_id ()
-let store_and_forward t ~link_id = Hashtbl.mem t.sf_links link_id
-let set_bit_error_rate t ~link_id p = Hashtbl.replace t.ber link_id p
+
+let set_store_and_forward t ~link_id =
+  t.sf_links <- grown t.sf_links link_id ~hint:0 false;
+  t.sf_links.(link_id) <- true
+
+let store_and_forward t ~link_id =
+  link_id >= 0 && link_id < Array.length t.sf_links
+  && Array.unsafe_get t.sf_links link_id
+
+let set_bit_error_rate t ~link_id p =
+  t.ber <- grown t.ber link_id ~hint:0 None;
+  t.ber.(link_id) <- Some p
+
 let set_corruptor t f = t.corruptor <- Some f
 let clear_corruptor t = t.corruptor <- None
 let fail_link t link =
@@ -350,7 +405,8 @@ let maybe_corrupt t op link frame =
     match t.corruptor with
     | Some f -> f ~link frame.Frame.payload
     | None -> (
-      match Hashtbl.find_opt t.ber link.G.link_id with
+      let id = link.G.link_id in
+      match if id < Array.length t.ber then t.ber.(id) else None with
       | None -> None
       | Some p ->
         let bits = Frame.bits frame in
@@ -375,23 +431,33 @@ let maybe_corrupt t op link frame =
 (* A raising node handler must not take the whole simulation down: the
    event loop survives, the fault is charged to the receiving node. *)
 let deliver_direct t ~node ~in_port ~frame ~head ~tail =
-  match Hashtbl.find_opt t.handlers node with
+  match
+    if node >= 0 && node < Array.length t.handlers then
+      Array.unsafe_get t.handlers node
+    else None
+  with
   | Some h -> (
     try h t ~in_port ~frame ~head ~tail
     with exn ->
       C.incr t.agg.agg_handler_errors;
-      let n = Option.value ~default:0 (Hashtbl.find_opt t.handler_errors node) in
-      Hashtbl.replace t.handler_errors node (n + 1);
+      t.handler_errors <- grown t.handler_errors node ~hint:(node_hint t) 0;
+      t.handler_errors.(node) <- t.handler_errors.(node) + 1;
       trace t "node %d: handler raised %s on frame#%d" node
         (Printexc.to_string exn) frame.Frame.id)
   | None -> C.incr t.agg.agg_undelivered
 
+(* the far end of [link] from [node] *)
+let peer_node link node = if node = link.G.a then link.G.b else link.G.a
+
 let deliver t ~link ~from_node ~frame ~head ~tail =
-  let peer_node, peer_port = G.peer link from_node in
-  deliver_direct t ~node:peer_node ~in_port:peer_port ~frame ~head ~tail
+  if from_node = link.G.a then
+    deliver_direct t ~node:link.G.b ~in_port:link.G.b_port ~frame ~head ~tail
+  else if from_node = link.G.b then
+    deliver_direct t ~node:link.G.a ~in_port:link.G.a_port ~frame ~head ~tail
+  else invalid_arg "World.deliver: sender not on link"
 
 let inbox t node =
-  match Hashtbl.find_opt t.inboxes node with
+  match if node < Array.length t.inboxes then t.inboxes.(node) else None with
   | Some ib -> ib
   | None ->
     let ib =
@@ -401,7 +467,8 @@ let inbox t node =
       { ib_node = node; ib_queue = Ibq.create ~dummy; ib_armed = None;
         ib_draining = false }
     in
-    Hashtbl.replace t.inboxes node ib;
+    t.inboxes <- grown t.inboxes node ~hint:(node_hint t) None;
+    t.inboxes.(node) <- Some ib;
     ib
 
 (* Batched delivery. Every pending entry reserved a real engine sequence
@@ -501,22 +568,18 @@ let rec start_transmission t op link frame =
      still serializing. A store-and-forward link holds the frame until
      fully serialized, so head and tail arrive together. *)
   let head =
-    if Hashtbl.mem t.sf_links link.G.link_id then tail
+    if store_and_forward t ~link_id:link.G.link_id then tail
     else start + link.G.props.G.propagation
   in
   let delivered = maybe_corrupt t op link frame in
-  (if Hashtbl.length t.taps > 0 then begin
-     let peer_node, _ = G.peer link op.op_node in
-     match Hashtbl.find_opt t.taps peer_node with
-     | Some f -> f ~head
-     | None -> ()
-   end);
+  let peer = peer_node link op.op_node in
+  (if peer < Array.length t.taps then
+     match t.taps.(peer) with Some f -> f ~head | None -> ());
   let delivery, completion =
     if t.batching then begin
-      let peer_node, _ = G.peer link op.op_node in
       let d =
         D_batch
-          (push_pending t ~node:peer_node ~time:head
+          (push_pending t ~node:peer ~time:head
              (P_deliver
                 {
                   pl_link = link;
@@ -534,7 +597,7 @@ let rec start_transmission t op link frame =
          bookkeeping under the same cursor as its deliveries. *)
       let c =
         D_batch
-          (push_pending t ~node:peer_node ~time:finish
+          (push_pending t ~node:peer ~time:finish
              (P_thunk (fun () -> complete t op)))
       in
       (d, c)
@@ -682,9 +745,10 @@ let port_stats t ~node ~port =
    frame on all of [node]'s outports. Returns the number of frames lost. *)
 let purge_node t ~node =
   let total = ref 0 in
-  Hashtbl.iter
-    (fun (n, _) op ->
-      if n = node then begin
+  Array.iter
+    (function
+      | None -> ()
+      | Some op ->
         let dropped = ref 0 in
         let mark_purged frame =
           match frame.Frame.flight with
@@ -712,14 +776,14 @@ let purge_node t ~node =
         Sim.Stats.Timeweighted.set op.qtrack ~now:(now t) 0.0;
         op.purged <- op.purged + !dropped;
         C.add t.agg.agg_purged !dropped;
-        total := !total + !dropped
-      end)
-    t.outports;
+        total := !total + !dropped)
+    (node_outports t node);
   if !total > 0 then trace t "node %d: crash purged %d frames" node !total;
   !total
 
 let handler_errors t ~node =
-  Option.value ~default:0 (Hashtbl.find_opt t.handler_errors node)
+  if node >= 0 && node < Array.length t.handler_errors then t.handler_errors.(node)
+  else 0
 
 let total_handler_errors t = C.value t.agg.agg_handler_errors
 

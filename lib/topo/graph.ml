@@ -17,10 +17,13 @@ type link = {
   props : link_props;
 }
 
+(* [ports.(p)] is the link on port [p]. The array grows on demand as
+   ports are allocated, never past 256 slots, so a port outside 0-255 is
+   simply out of range. *)
 type node = {
   kind : node_kind;
   name : string;
-  ports : (port, link) Hashtbl.t;
+  mutable ports : link option array;
   mutable next_port : port;
 }
 
@@ -56,7 +59,7 @@ let add_node g ?name kind =
     | Some s -> s
     | None -> (match kind with Host -> "h" | Router -> "r") ^ string_of_int id
   in
-  let node = { kind; name; ports = Hashtbl.create 4; next_port = 1 } in
+  let node = { kind; name; ports = [||]; next_port = 1 } in
   if g.n = Array.length g.nodes then begin
     let cap = max 16 (2 * g.n) in
     let fresh = Array.make cap node in
@@ -82,22 +85,33 @@ let alloc_port node =
   if node.next_port > max_ports then failwith "Graph.connect: node has 255 ports";
   let p = node.next_port in
   node.next_port <- p + 1;
+  let cap = Array.length node.ports in
+  if p >= cap then begin
+    let fresh = Array.make (min (max_ports + 1) (max (p + 1) (2 * cap))) None in
+    Array.blit node.ports 0 fresh 0 cap;
+    node.ports <- fresh
+  end;
   p
+
+let slot node p =
+  if p >= 0 && p < Array.length node.ports then Array.unsafe_get node.ports p
+  else None
 
 let connect g a b props =
   let na = get g a and nb = get g b in
   let pa = alloc_port na and pb = alloc_port nb in
   let link = { link_id = g.next_link; a; a_port = pa; b; b_port = pb; props } in
   g.next_link <- g.next_link + 1;
-  Hashtbl.replace na.ports pa link;
-  Hashtbl.replace nb.ports pb link;
+  let attached = Some link in
+  na.ports.(pa) <- attached;
+  nb.ports.(pb) <- attached;
   g.all_links <- link :: g.all_links;
   g.version <- g.version + 1;
   (pa, pb)
 
 let disconnect g link =
-  Hashtbl.remove (get g link.a).ports link.a_port;
-  Hashtbl.remove (get g link.b).ports link.b_port;
+  (get g link.a).ports.(link.a_port) <- None;
+  (get g link.b).ports.(link.b_port) <- None;
   g.all_links <- List.filter (fun l -> l.link_id <> link.link_id) g.all_links;
   g.version <- g.version + 1
 
@@ -106,20 +120,20 @@ let disconnect g link =
    alone rather than clobbering another link. *)
 let reconnect g link =
   let na = get g link.a and nb = get g link.b in
-  let a_free = not (Hashtbl.mem na.ports link.a_port) in
-  let b_free = not (Hashtbl.mem nb.ports link.b_port) in
-  if a_free && b_free then begin
-    Hashtbl.replace na.ports link.a_port link;
-    Hashtbl.replace nb.ports link.b_port link;
+  if Option.is_none (slot na link.a_port) && Option.is_none (slot nb link.b_port)
+  then begin
+    let attached = Some link in
+    na.ports.(link.a_port) <- attached;
+    nb.ports.(link.b_port) <- attached;
     if not (List.exists (fun l -> l.link_id = link.link_id) g.all_links) then
       g.all_links <- link :: g.all_links;
     g.version <- g.version + 1
   end
 
-let link_via g id p = Hashtbl.find_opt (get g id).ports p
+let link_via g id p = slot (get g id) p
 
 let link_alive g link =
-  match Hashtbl.find_opt (get g link.a).ports link.a_port with
+  match link_via g link.a link.a_port with
   | Some l -> l.link_id = link.link_id
   | None -> false
 
@@ -128,11 +142,26 @@ let peer link n =
   else if n = link.b then (link.a, link.a_port)
   else invalid_arg "Graph.peer"
 
-let ports g id =
-  Hashtbl.fold (fun p l acc -> (p, l) :: acc) (get g id).ports []
-  |> List.sort (fun (p1, _) (p2, _) -> compare p1 p2)
+(* [f p l] for every attached port of [id], in ascending port order *)
+let iter_ports g id f =
+  let ports = (get g id).ports in
+  for p = 0 to Array.length ports - 1 do
+    match Array.unsafe_get ports p with Some l -> f p l | None -> ()
+  done
 
-let degree g id = Hashtbl.length (get g id).ports
+let ports g id =
+  let acc = ref [] in
+  let ports = (get g id).ports in
+  for p = Array.length ports - 1 downto 0 do
+    match ports.(p) with Some l -> acc := (p, l) :: !acc | None -> ()
+  done;
+  !acc
+
+let degree g id =
+  Array.fold_left
+    (fun n slot -> match slot with Some _ -> n + 1 | None -> n)
+    0 (get g id).ports
+
 let links g = List.rev g.all_links
 let iter_nodes g f = for id = 0 to g.n - 1 do f id done
 
@@ -174,8 +203,7 @@ let shortest_path_excluding g ~metric ~src ~dst ~banned_links ~banned_nodes =
       visited.(u) <- true;
       if u = dst then finished := true
       else
-        Hashtbl.iter
-          (fun p l ->
+        iter_ports g u (fun p l ->
             if not (List.mem l.link_id banned_links) then begin
               let v, _ = peer l u in
               if (not (List.mem v banned_nodes)) && not visited.(v) then begin
@@ -189,7 +217,6 @@ let shortest_path_excluding g ~metric ~src ~dst ~banned_links ~banned_nodes =
                 end
               end
             end)
-          (get g u).ports
     end
   done;
   if dist.(dst) = infinity then None
@@ -207,8 +234,8 @@ let shortest_path g ~metric ~src ~dst =
   else shortest_path_excluding g ~metric ~src ~dst ~banned_links:[] ~banned_nodes:[]
 
 (* Single-source shortest-path tree: the same Dijkstra as
-   [shortest_path_excluding] (same heap keys, same relaxation order over the
-   same port tables) run to completion instead of stopping at one
+   [shortest_path_excluding] (same heap keys, same ascending-port
+   relaxation order) run to completion instead of stopping at one
    destination, so [spt_path] extracts, for every destination, hop lists
    bit-identical to what a per-destination [shortest_path] would return.
    This is what makes directory SPT memoization answer-preserving. *)
@@ -235,8 +262,7 @@ let shortest_path_tree g ~metric ~src =
     let cost, u = Sim.Heap.pop_min heap in
     if (not visited.(u)) && cost <= dist.(u) then begin
       visited.(u) <- true;
-      Hashtbl.iter
-        (fun p l ->
+      iter_ports g u (fun p l ->
           let v, _ = peer l u in
           if not visited.(v) then begin
             let w = metric l in
@@ -248,7 +274,6 @@ let shortest_path_tree g ~metric ~src =
               push alt v
             end
           end)
-        (get g u).ports
     end
   done;
   { spt_src = src; spt_prev = prev; spt_dist = dist }

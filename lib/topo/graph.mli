@@ -91,7 +91,10 @@ val route_nodes : t -> src:node_id -> hop list -> node_id list
 val shortest_path :
   t -> metric:(link -> float) -> src:node_id -> dst:node_id -> hop list option
 (** Dijkstra. [None] if unreachable; [[]] if [src = dst]. The metric must
-    be positive. *)
+    be positive. Each node's links are relaxed in ascending port order and
+    only a strictly shorter distance replaces a tentative one, so among
+    equal-cost paths the one reached first over lower-numbered ports
+    wins — a tie-break that depends on the topology alone. *)
 
 val shortest_path_excluding :
   t -> metric:(link -> float) -> src:node_id -> dst:node_id ->

@@ -127,6 +127,28 @@ let no_link_drop () =
   | _ -> Alcotest.fail "expected no link");
   check_int "counted" 1 (W.port_stats world ~node:a ~port:1).W.dropped_no_link
 
+(* Ports are one byte: the per-port accessors reject anything outside
+   0-255 rather than creating a port for it, while a valid but
+   unconnected port still just drops. *)
+let out_of_range_ports_rejected () =
+  let _, _, world, a, _, _ = pair () in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun port ->
+      rejects "port_stats" (fun () -> ignore (W.port_stats world ~node:a ~port));
+      rejects "queue_length" (fun () -> ignore (W.queue_length world ~node:a ~port));
+      rejects "set_buffer_bytes" (fun () -> W.set_buffer_bytes world ~node:a ~port 10))
+    [ -1; 256; 1000; max_int ];
+  (match W.send world ~node:a ~port:255 (W.fresh_frame world (Bytes.make 10 'x')) with
+  | W.Dropped_no_link -> ()
+  | _ -> Alcotest.fail "expected no link on port 255");
+  check_int "counted on 255" 1 (W.port_stats world ~node:a ~port:255).W.dropped_no_link;
+  check_int "port 2 untouched" 0 (W.port_stats world ~node:a ~port:2).W.dropped_no_link
+
 let failed_link_keeps_in_flight () =
   let g, engine, world, a, _, log = pair () in
   ignore (W.send world ~node:a ~port:1 (W.fresh_frame world (Bytes.make 100 'x')));
@@ -315,6 +337,193 @@ let trace_captures_drops () =
   check_bool "drop traced" true
     (List.exists (fun (_, m) -> contains "blocked" m) (Sim.Trace.entries tr))
 
+(* Golden digest: fixed seeded random sequences of sends, link failures
+   and repairs, crash purges and buffer resizes on a small multi-port
+   graph with a store-and-forward link, a noisy link, a departure tap, a
+   raising handler, a handlerless host and sampled flights. Everything
+   observable is folded into one digest per seed: [port_stats] of every
+   (node, port) in 0-7, per-node handler errors, the delivery, tap and
+   purge logs, the telemetry rows and events, and every recorded flight.
+   The expected digests pin the behaviour of the port layer, so any
+   change to its data structures must reproduce them exactly; batched
+   delivery must reproduce them too. Flights are digested in packet-id
+   order: the order in which one crash purge commits the flights of
+   several ports is pinned separately, by [purge_flight_order]. *)
+let golden_run ~seed ~batching =
+  let g = G.create () in
+  let r = Array.init 4 (fun _ -> G.add_node g G.Router) in
+  let h = Array.init 3 (fun _ -> G.add_node g G.Host) in
+  let fast = { props with G.bandwidth_bps = 100_000_000 } in
+  let slow = { props with G.bandwidth_bps = 1_000_000; propagation = Sim.Time.us 40 } in
+  List.iter
+    (fun (a, b, p) -> ignore (G.connect g a b p))
+    [
+      (r.(0), r.(1), fast); (r.(1), r.(2), props); (r.(2), r.(3), slow);
+      (r.(3), r.(0), fast); (r.(0), r.(2), props); (r.(1), r.(3), slow);
+      (r.(1), r.(3), props); (h.(0), r.(0), props); (h.(1), r.(1), props);
+      (h.(2), r.(3), props);
+    ];
+  let links = Array.of_list (G.links g) in
+  let nodes = G.node_count g in
+  let engine = Sim.Engine.create () in
+  let world = W.create ~default_buffer_bytes:3000 ~batching engine g in
+  W.set_store_and_forward world ~link_id:2;
+  W.set_bit_error_rate world ~link_id:4 2e-4;
+  Telemetry.Flight.set_policy (W.flight world)
+    { Telemetry.Flight.sample_every = 1; capture_drops = true; capacity = 256 };
+  let rng = Sim.Rng.create (Int64.of_int seed) in
+  let log = Buffer.create 4096 in
+  W.set_departure_tap world ~node:r.(2) (fun ~head ->
+      Printf.bprintf log "tap %d\n" head);
+  (* byte 0 of a payload is its remaining hop budget; 0xEE poisons *)
+  let handler node w ~in_port ~frame ~head ~tail =
+    let payload = frame.Netsim.Frame.payload in
+    let ttl = Char.code (Bytes.get payload 0) in
+    Printf.bprintf log "rx %d/%d #%d %d %d %b %d\n" node in_port
+      frame.Netsim.Frame.id head tail frame.Netsim.Frame.aborted ttl;
+    if ttl = 0xEE then failwith "poisoned frame";
+    let ctx = frame.Netsim.Frame.flight in
+    if ttl = 0 || ttl > 8 || frame.Netsim.Frame.aborted then
+      Option.iter (fun c -> Telemetry.Flight.complete c ~now:(W.now w)) ctx
+    else begin
+      let out_port = 1 + Sim.Rng.int rng (G.degree g node + 1) in
+      Option.iter
+        (fun c ->
+          Telemetry.Flight.hop c ~node ~in_port ~out_port ~arrival:head
+            ~departure:(W.now w) ~handling:Telemetry.Flight.Cut_through)
+        ctx;
+      let fwd = Bytes.copy payload in
+      Bytes.set fwd 0 (Char.chr (ttl - 1));
+      ignore
+        (W.send w ~node ~port:out_port
+           (W.fresh_frame w ~priority:frame.Netsim.Frame.priority ?flight:ctx fwd))
+    end
+  in
+  for node = 0 to nodes - 1 do
+    if node <> h.(2) then W.set_handler world node (handler node)
+  done;
+  let op () =
+    let node =
+      if Sim.Rng.int rng 4 > 0 then r.(Sim.Rng.int rng 4) else Sim.Rng.int rng nodes
+    in
+    let roll = Sim.Rng.int rng 100 in
+    if roll < 70 then begin
+      let port =
+        if Sim.Rng.int rng 5 = 0 then Sim.Rng.int rng 7
+        else 1 + Sim.Rng.int rng (max 1 (G.degree g node))
+      in
+      let size = 40 + Sim.Rng.int rng 1460 in
+      let payload = Bytes.make size 'd' in
+      Bytes.set payload 0
+        (Char.chr (if roll < 4 then 0xEE else Sim.Rng.int rng 7));
+      let frame =
+        W.fresh_frame world ~priority:(Sim.Rng.int rng 8)
+          ~drop_if_blocked:(Sim.Rng.int rng 6 = 0)
+          ?flight:(Telemetry.Flight.start (W.flight world) ~now:(W.now world))
+          payload
+      in
+      let result =
+        match W.send world ~node ~port frame with
+        | W.Started -> "started"
+        | W.Started_preempting v -> Printf.sprintf "preempting#%d" v.Netsim.Frame.id
+        | W.Queued -> "queued"
+        | W.Dropped_blocked -> "blocked"
+        | W.Dropped_overflow -> "overflow"
+        | W.Dropped_no_link -> "no_link"
+      in
+      Printf.bprintf log "send %d/%d #%d %s\n" node port frame.Netsim.Frame.id result
+    end
+    else if roll < 76 then W.fail_link world links.(Sim.Rng.int rng (Array.length links))
+    else if roll < 86 then
+      W.restore_link world links.(Sim.Rng.int rng (Array.length links))
+    else if roll < 92 then
+      Printf.bprintf log "purge %d %d\n" node (W.purge_node world ~node)
+    else
+      W.set_buffer_bytes world ~node ~port:(Sim.Rng.int rng 7)
+        (1000 + Sim.Rng.int rng 7000)
+  in
+  for _ = 1 to 150 do
+    ignore
+      (Sim.Engine.schedule_at engine ~time:(Sim.Rng.int rng (Sim.Time.ms 6)) op)
+  done;
+  Sim.Engine.run engine;
+  for node = 0 to nodes - 1 do
+    for port = 0 to 7 do
+      let s = W.port_stats world ~node ~port in
+      Printf.bprintf log "port %d/%d %d %d %d %d %d %d %d %d %d %h %h %d %d\n" node
+        port s.W.sent_frames s.W.sent_bytes s.W.dropped_blocked
+        s.W.dropped_overflow s.W.dropped_no_link s.W.preempted s.W.corrupted
+        s.W.purged s.W.busy_time s.W.mean_queue s.W.max_queue
+        (W.queue_length world ~node ~port)
+        (W.queued_bytes world ~node ~port)
+    done;
+    Printf.bprintf log "errors %d %d\n" node (W.handler_errors world ~node)
+  done;
+  Printf.bprintf log "undelivered %d now %d\n%s\n" (W.undelivered world)
+    (W.now world)
+    (Telemetry.Export.json ~events:(W.events world) (W.metrics world));
+  let module F = Telemetry.Flight in
+  let reason = Option.value ~default:"-" in
+  List.iter
+    (fun (f : F.flight) ->
+      Printf.bprintf log "flight %d %d %d %s\n" f.packet_id f.injected_at
+        f.completed_at (reason f.dropped);
+      List.iter
+        (fun (sp : F.span) ->
+          Printf.bprintf log " span %d %d %d %d %d %d %s %s %s\n" sp.node
+            sp.in_port sp.out_port sp.arrival sp.departure sp.queue_wait
+            (F.handling_name sp.handling) (F.token_name sp.token)
+            (reason sp.drop))
+        f.spans)
+    (List.sort
+       (fun (a : F.flight) (b : F.flight) -> compare a.packet_id b.packet_id)
+       (F.flights (W.flight world)));
+  Digest.to_hex (Digest.string (Buffer.contents log))
+
+let golden_digests =
+  [
+    (1, "accfe95552d952e797c1af4e268fcba6");
+    (2, "54ffa218fde73cf06044a56b1935dbd6");
+    (3, "14627fe7004c529e0e5438cedbca6cfa");
+    (4, "d17f3730d725bfeb74809b905fd2b7ea");
+    (5, "62c94c6ca627ab29075c527aed9ea42b");
+    (6, "4e10cb603fd9bf0f7716143358edffe1");
+  ]
+
+(* A crash purge drops the frames of the node's ports in ascending port
+   order, so their flights are committed in that order. *)
+let purge_flight_order () =
+  let g = G.create () in
+  let hub = G.add_node g G.Router in
+  let leaves = Array.init 3 (fun _ -> G.add_node g G.Host) in
+  Array.iter (fun l -> ignore (G.connect g hub l props)) leaves;
+  let engine = Sim.Engine.create () in
+  let world = W.create engine g in
+  Telemetry.Flight.set_policy (W.flight world)
+    { Telemetry.Flight.sample_every = 1; capture_drops = true; capacity = 16 };
+  let send port =
+    let flight = Telemetry.Flight.start (W.flight world) ~now:(W.now world) in
+    ignore (W.send world ~node:hub ~port (W.fresh_frame world ?flight (Bytes.make 500 'x')))
+  in
+  List.iter send [ 3; 1; 2; 1 ];
+  check_int "purged" 4 (W.purge_node world ~node:hub);
+  (* packets 1-4 went out ports 3, 1, 2, 1 *)
+  Alcotest.(check (list int)) "flights by port, then queue order" [ 2; 4; 3; 1 ]
+    (List.map
+       (fun (f : Telemetry.Flight.flight) -> f.packet_id)
+       (Telemetry.Flight.flights (W.flight world)))
+
+let golden_port_layer () =
+  List.iter
+    (fun (seed, expected) ->
+      let unbatched = golden_run ~seed ~batching:false in
+      Alcotest.(check string) (Printf.sprintf "seed %d" seed) expected unbatched;
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d batched" seed)
+        unbatched
+        (golden_run ~seed ~batching:true))
+    golden_digests
+
 let () =
   Alcotest.run "netsim"
     [
@@ -336,6 +545,8 @@ let () =
           Alcotest.test_case "drop-if-blocked" `Quick drop_if_blocked;
           Alcotest.test_case "buffer overflow" `Quick buffer_overflow;
           Alcotest.test_case "no link" `Quick no_link_drop;
+          Alcotest.test_case "out-of-range ports rejected" `Quick
+            out_of_range_ports_rejected;
           Alcotest.test_case "in-flight survives failure" `Quick failed_link_keeps_in_flight;
           Alcotest.test_case "queued dropped on mid-stream failure" `Quick
             queued_frames_dropped_when_link_dies_midstream;
@@ -350,4 +561,9 @@ let () =
         ] );
       ( "trace",
         [ Alcotest.test_case "captures drops" `Quick trace_captures_drops ] );
+      ( "golden",
+        [
+          Alcotest.test_case "seeded op sequences" `Quick golden_port_layer;
+          Alcotest.test_case "purge flight order" `Quick purge_flight_order;
+        ] );
     ]

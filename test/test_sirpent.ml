@@ -680,6 +680,37 @@ let misrouted_packet_counted () =
   check_int "not accepted" 0 (Sirpent.Host.received h2);
   check_int "counted misdelivered" 1 (Sirpent.Host.misdelivered h2)
 
+(* A one-byte VIPER segment can only name ports 0-255: per-port tables
+   reject anything else instead of storing it. *)
+let port_tables_reject_out_of_range () =
+  let g = G.create () in
+  let r = G.add_node g G.Router in
+  let world = W.create (Sim.Engine.create ()) g in
+  let router = Sirpent.Router.create world ~node:r () in
+  let logical = Sirpent.Router.logical router in
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun port ->
+      rejects
+        (Printf.sprintf "logical port %d" port)
+        (fun () -> Sirpent.Logical.set logical ~port (Sirpent.Logical.Group [ 1 ]));
+      rejects
+        (Printf.sprintf "group port %d" port)
+        (fun () -> Sirpent.Router.set_port_group router ~port ~ports:[ 1 ]))
+    [ -1; 256; 496; max_int ];
+  check_int "nothing stored" 0 (Sirpent.Logical.mappings logical);
+  Sirpent.Logical.set logical ~port:255 (Sirpent.Logical.Group [ 1 ]);
+  Sirpent.Logical.set logical ~port:255 (Sirpent.Logical.Group [ 2 ]);
+  check_int "port 255 stored once" 1 (Sirpent.Logical.mappings logical);
+  Sirpent.Logical.clear logical ~port:255;
+  Sirpent.Logical.clear logical ~port:255;
+  Sirpent.Logical.clear logical ~port:300;
+  check_int "cleared" 0 (Sirpent.Logical.mappings logical)
+
 let () =
   Alcotest.run "sirpent"
     [
@@ -724,6 +755,8 @@ let () =
         [
           Alcotest.test_case "group balances" `Quick logical_group_balances;
           Alcotest.test_case "splice expands" `Quick logical_splice_expands;
+          Alcotest.test_case "out-of-range ports rejected" `Quick
+            port_tables_reject_out_of_range;
         ] );
       ( "congestion",
         [

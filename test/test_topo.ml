@@ -296,6 +296,112 @@ let hierarchical_internet_shape () =
   (* port budget respected even at full fan-out *)
   Array.iter (fun l -> check_bool "leaf ports < 255" true (G.degree g l <= 255)) leaves
 
+(* Model test for the port tables: random connect / disconnect /
+   reconnect sequences against an association-list reference
+   [(node, port, link_id)] with per-node next-port counters. After every
+   step, [link_via] (also on ports never allocated and ports outside
+   0-255), [ports], [degree] and [link_alive] must agree with it. *)
+type graph_op = Connect of int * int | Disconnect of int | Reconnect of int
+
+let model_nodes = 4
+
+let graph_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map2
+            (fun a b -> Connect (a, b))
+            (int_bound (model_nodes - 1))
+            (int_bound (model_nodes - 1)) );
+        (2, map (fun i -> Disconnect i) (int_bound 40));
+        (2, map (fun i -> Reconnect i) (int_bound 40));
+      ])
+
+let show_graph_op = function
+  | Connect (a, b) -> Printf.sprintf "connect %d %d" a b
+  | Disconnect i -> Printf.sprintf "disconnect #%d" i
+  | Reconnect i -> Printf.sprintf "reconnect #%d" i
+
+let qcheck_port_table_model =
+  QCheck.Test.make ~name:"port tables match an association-list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_graph_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) graph_op_gen))
+    (fun ops ->
+      let g = G.create () in
+      for _ = 1 to model_nodes do
+        ignore (G.add_node g G.Router)
+      done;
+      let next = Array.make model_nodes 1 in
+      let attached = ref [] in
+      let created = ref [||] in
+      let model_via n p =
+        List.find_map
+          (fun (n', p', id) -> if n' = n && p' = p then Some id else None)
+          !attached
+      in
+      let detach n p =
+        attached := List.filter (fun (n', p', _) -> n' <> n || p' <> p) !attached
+      in
+      let agrees () =
+        let via_ok n p =
+          Option.map (fun l -> l.G.link_id) (G.link_via g n p) = model_via n p
+        in
+        let node_ok n =
+          let expected =
+            List.sort compare
+              (List.filter_map
+                 (fun (n', p, id) -> if n' = n then Some (p, id) else None)
+                 !attached)
+          in
+          List.for_all (via_ok n) [ -1; 0; 256; 300; max_int ]
+          && List.for_all (via_ok n) (List.init 256 Fun.id)
+          && List.map (fun (p, l) -> (p, l.G.link_id)) (G.ports g n) = expected
+          && G.degree g n = List.length expected
+        in
+        List.for_all node_ok (List.init model_nodes Fun.id)
+        && Array.for_all
+             (fun l ->
+               G.link_alive g l = (model_via l.G.a l.G.a_port = Some l.G.link_id))
+             !created
+      in
+      let pick i k =
+        let n = Array.length !created in
+        if n > 0 then k !created.(i mod n)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Connect (a, b) ->
+            let pa, pb = G.connect g a b props in
+            let id = Array.length !created in
+            let pa' = next.(a) in
+            next.(a) <- pa' + 1;
+            let pb' = next.(b) in
+            next.(b) <- pb' + 1;
+            if (pa, pb) <> (pa', pb') then failwith "port numbering";
+            (match G.link_via g a pa with
+            | Some l -> created := Array.append !created [| l |]
+            | None -> failwith "connected port empty");
+            attached := (a, pa, id) :: (b, pb, id) :: !attached
+          | Disconnect i ->
+            pick i (fun l ->
+                G.disconnect g l;
+                detach l.G.a l.G.a_port;
+                detach l.G.b l.G.b_port)
+          | Reconnect i ->
+            pick i (fun l ->
+                G.reconnect g l;
+                if model_via l.G.a l.G.a_port = None
+                   && model_via l.G.b l.G.b_port = None
+                then
+                  attached :=
+                    (l.G.a, l.G.a_port, l.G.link_id)
+                    :: (l.G.b, l.G.b_port, l.G.link_id) :: !attached));
+          agrees ())
+        ops)
+
 let () =
   Alcotest.run "topo"
     [
@@ -334,5 +440,6 @@ let () =
             hierarchical_internet_shape;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_random_graph_paths ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_random_graph_paths; qcheck_port_table_model ] );
     ]
