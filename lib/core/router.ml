@@ -203,57 +203,63 @@ let count_send_result t ~frame ~in_port result =
     C.incr t.send_drops;
     flight_drop t ~frame ~in_port ~reason:"send_drop"
 
+(* Hand [payload] to [out_port] now, as the blocked-port policy says. *)
+let transmit t ~priority ~dib ~frame ~in_port ~out_port ~payload =
+  match t.config.blocked with
+  | Buffer ->
+    let out_frame =
+      W.fresh_frame t.world ~priority ~drop_if_blocked:dib
+        ?flight:frame.Netsim.Frame.flight payload
+    in
+    count_send_result t ~frame ~in_port
+      (W.send t.world ~node:t.node ~port:out_port out_frame)
+  | Delay_line { delay; max_circuits } ->
+    (* Â§2.1: a bufferless (Blazenet-style) switch re-circulates a
+       blocked packet through a delay line instead of queueing it *)
+    let rec attempt circuits =
+      let out_frame =
+        W.fresh_frame t.world ~priority ~drop_if_blocked:true
+          ?flight:frame.Netsim.Frame.flight payload
+      in
+      match W.send t.world ~node:t.node ~port:out_port out_frame with
+      | W.Started | W.Started_preempting _ | W.Queued -> C.incr t.forwarded
+      | W.Dropped_blocked ->
+        if circuits < max_circuits && not dib then begin
+          C.incr t.delay_line_circuits;
+          schedule t ~time:(now t + delay) (fun () -> attempt (circuits + 1))
+        end
+        else begin
+          C.incr t.send_drops;
+          flight_drop t ~frame ~in_port ~reason:"send_drop"
+        end
+      | W.Dropped_overflow | W.Dropped_no_link ->
+        C.incr t.send_drops;
+        flight_drop t ~frame ~in_port ~reason:"send_drop"
+    in
+    attempt 0
+
 (* Transmit [payload] out [out_port] at [when_], honoring any congestion
    limiter for its (out_port, next_port) queue. [next_port] is the port
    the NEXT node will forward on — the leading segment's port (VIPER) or
    the next XSR lane — exactly the queue a Rate_ctl limiter is keyed by;
    both source-routed formats expose it without per-flow state. Routers
-   without congestion control pass [None] and skip the peek. *)
+   without congestion control pass [None] and skip the peek. This is
+   [schedule] written out, so that the uncongested hop allocates one
+   closure. *)
 let dispatch t ~priority ~dib ~next_port ~frame ~in_port ~out_port ~payload ~when_ =
-  let send () =
-    match t.config.blocked with
-    | Buffer ->
-      let out_frame =
-        W.fresh_frame t.world ~priority ~drop_if_blocked:dib
-          ?flight:frame.Netsim.Frame.flight payload
-      in
-      count_send_result t ~frame ~in_port
-        (W.send t.world ~node:t.node ~port:out_port out_frame)
-    | Delay_line { delay; max_circuits } ->
-      (* Â§2.1: a bufferless (Blazenet-style) switch re-circulates a
-         blocked packet through a delay line instead of queueing it *)
-      let rec attempt circuits =
-        let out_frame =
-          W.fresh_frame t.world ~priority ~drop_if_blocked:true
-            ?flight:frame.Netsim.Frame.flight payload
-        in
-        match W.send t.world ~node:t.node ~port:out_port out_frame with
-        | W.Started | W.Started_preempting _ | W.Queued -> C.incr t.forwarded
-        | W.Dropped_blocked ->
-          if circuits < max_circuits && not dib then begin
-            C.incr t.delay_line_circuits;
-            schedule t ~time:(now t + delay) (fun () -> attempt (circuits + 1))
-          end
-          else begin
-            C.incr t.send_drops;
-            flight_drop t ~frame ~in_port ~reason:"send_drop"
-          end
-        | W.Dropped_overflow | W.Dropped_no_link ->
+  let epoch = t.epoch in
+  W.defer t.world ~node:t.node ~time:(max when_ (now t)) (fun () ->
+      if t.up && t.epoch = epoch then
+        if frame.Netsim.Frame.aborted then begin
           C.incr t.send_drops;
-          flight_drop t ~frame ~in_port ~reason:"send_drop"
-      in
-      attempt 0
-  in
-  schedule t ~time:when_ (fun () ->
-      if frame.Netsim.Frame.aborted then begin
-        C.incr t.send_drops;
-        flight_drop t ~frame ~in_port ~reason:"aborted"
-      end
-      else
-        match t.congestion with
-        | None -> send ()
-        | Some c ->
-          Congestion.submit c ~out_port ~next_port ~bytes:(Bytes.length payload) ~send)
+          flight_drop t ~frame ~in_port ~reason:"aborted"
+        end
+        else
+          match t.congestion with
+          | None -> transmit t ~priority ~dib ~frame ~in_port ~out_port ~payload
+          | Some c ->
+            Congestion.submit c ~out_port ~next_port ~bytes:(Bytes.length payload)
+              ~send:(fun () -> transmit t ~priority ~dib ~frame ~in_port ~out_port ~payload))
 
 (* [payload] is the full arriving packet and [pos] the offset where the
    stripped segment ends: the strip + trailer-append pair is fused into

@@ -2,10 +2,10 @@ module G = Topo.Graph
 
 (* The inbox queue. Keys (time, reserved engine seq) arrive almost
    sorted: seqs are allocated monotonically, so pushes for one instant
-   are already in order, and the only out-of-order push is the
-   occasional short key — e.g. a near-zero-length transmission's
-   completion landing below an earlier-pushed future delivery. A sorted
-   array-deque makes the common push an O(1) append and every peek/pop
+   are already in order, and the only out-of-order pushes are short
+   keys — e.g. a transmission completion, pushed at its reserved key
+   only once a frame queues behind it, landing below later deliveries.
+   A sorted array-deque makes the common push an O(1) append and every peek/pop
    O(1), which is measurably cheaper than a binary heap at the few
    dozen entries a node's inbox holds on the wire-speed path. *)
 module Ibq = struct
@@ -127,12 +127,18 @@ and delivery_ref =
   | D_event of Sim.Engine.handle  (* unbatched: one heap event per delivery *)
   | D_batch of pending  (* batched: an entry in the receiver's inbox *)
 
+(* The end-of-serialization event is reserved, not scheduled: its key
+   (finish, finish_seq) is taken when the transmission starts, and the
+   event is pushed at that key only when a frame waits behind the
+   transmission — otherwise it would do nothing but mark the port idle,
+   which [live_tx] infers from the key having passed. *)
 and transmission = {
   tx_frame : Frame.t;
   delivered_frame : Frame.t;  (* may be a corrupted copy of tx_frame *)
   finish : Sim.Time.t;
+  finish_seq : int;
   delivery : delivery_ref;
-  completion : delivery_ref;
+  mutable completion : delivery_ref option;  (* [Some] once pushed *)
 }
 
 (* Per receiving node: all in-flight deliveries headed its way, keyed by
@@ -497,6 +503,7 @@ let rec drain t ib ~key:(my_t, my_s) =
         in
         if is_self || still_next then begin
           let p = Ibq.pop_min ib.ib_queue in
+          Sim.Engine.set_running t.engine ~seq:ps;
           if not p.p_cancelled then begin
             match p.p_work with
             | P_deliver d ->
@@ -538,13 +545,15 @@ let cancel_delivery t = function
   | D_event h -> Sim.Engine.cancel t.engine h
   | D_batch p -> p.p_cancelled <- true
 
-let push_pending t ~node ~time work =
-  let seq = Sim.Engine.alloc_seq t.engine in
+let push_keyed t ~node ~time ~seq work =
   let p = { p_work = work; p_seq = seq; p_cancelled = false } in
   let ib = inbox t node in
   Ibq.push ib.ib_queue ~time ~seq p;
   arm t ib;
   p
+
+let push_pending t ~node ~time work =
+  push_keyed t ~node ~time ~seq:(Sim.Engine.reserve t.engine ~time) work
 
 (* Schedule [f] at [time] as an event belonging to [node]. Unbatched,
    this is an ordinary engine event. Batched, the thunk rides [node]'s
@@ -556,6 +565,12 @@ let defer t ~node ~time f =
   if time < now t then invalid_arg "World.defer: time in the past";
   if t.batching then ignore (push_pending t ~node ~time (P_thunk f))
   else ignore (Sim.Engine.schedule_at t.engine ~time f)
+
+(* End [frame]'s sampled flight, if any: it was lost at [node]. *)
+let drop_flight t ~node ~reason frame =
+  match frame.Frame.flight with
+  | Some ctx -> Telemetry.Flight.drop ctx ~node ~in_port:(-1) ~now:(now t) ~reason
+  | None -> ()
 
 (* Begin transmitting [frame] on [op], which must be idle, over [link]. *)
 let rec start_transmission t op link frame =
@@ -575,48 +590,49 @@ let rec start_transmission t op link frame =
   let peer = peer_node link op.op_node in
   (if peer < Array.length t.taps then
      match t.taps.(peer) with Some f -> f ~head | None -> ());
-  let delivery, completion =
-    if t.batching then begin
-      let d =
-        D_batch
-          (push_pending t ~node:peer ~time:head
-             (P_deliver
-                {
-                  pl_link = link;
-                  pl_from = op.op_node;
-                  pl_frame = delivered;
-                  pl_head = head;
-                  pl_tail = tail;
-                }))
-      in
-      (* The completion also parks in the peer's inbox: an inbox is only
-         a holding pen keyed by reserved engine keys, so any fixed choice
-         preserves execution order — and keying by the frame's
-         destination lets a fan-in burst (many ports finishing into one
-         node at the same instant) coalesce its end-of-serialization
-         bookkeeping under the same cursor as its deliveries. *)
-      let c =
-        D_batch
-          (push_pending t ~node:peer ~time:finish
-             (P_thunk (fun () -> complete t op)))
-      in
-      (d, c)
-    end
+  let delivery =
+    if t.batching then
+      D_batch
+        (push_pending t ~node:peer ~time:head
+           (P_deliver
+              {
+                pl_link = link;
+                pl_from = op.op_node;
+                pl_frame = delivered;
+                pl_head = head;
+                pl_tail = tail;
+              }))
     else
-      ( D_event
-          (Sim.Engine.schedule_at t.engine ~time:head (fun () ->
-               deliver t ~link ~from_node:op.op_node ~frame:delivered ~head ~tail;
-               flush t)),
-        D_event
-          (Sim.Engine.schedule_at t.engine ~time:finish (fun () -> complete t op))
-      )
+      D_event
+        (Sim.Engine.schedule_at t.engine ~time:head (fun () ->
+             deliver t ~link ~from_node:op.op_node ~frame:delivered ~head ~tail;
+             flush t))
   in
-  op.current <- Some { tx_frame = frame; delivered_frame = delivered; finish; delivery; completion };
+  let finish_seq = Sim.Engine.reserve t.engine ~time:finish in
+  let tx =
+    { tx_frame = frame; delivered_frame = delivered; finish; finish_seq; delivery;
+      completion = None }
+  in
+  op.current <- Some tx;
+  if not (Sim.Heap.is_empty op.queue) then push_completion t op tx;
   op.sent_frames <- op.sent_frames + 1;
   op.sent_bytes <- op.sent_bytes + Bytes.length frame.Frame.payload;
   C.incr t.agg.agg_sent_frames;
   C.add t.agg.agg_sent_bytes (Bytes.length frame.Frame.payload);
   op.busy_time <- op.busy_time + tx_time
+
+(* Push [tx]'s completion at its reserved key, once. Batched, it parks in
+   the sending node's inbox: an inbox is only a holding pen keyed by
+   reserved engine keys, so any fixed choice preserves execution order. *)
+and push_completion t op tx =
+  if Option.is_none tx.completion then begin
+    let time = tx.finish and seq = tx.finish_seq in
+    let run () = complete t op in
+    tx.completion <-
+      Some
+        (if t.batching then D_batch (push_keyed t ~node:op.op_node ~time ~seq (P_thunk run))
+         else D_event (Sim.Engine.schedule_keyed t.engine ~time ~seq run))
+  end
 
 and complete t op =
   op.current <- None;
@@ -630,10 +646,27 @@ and complete t op =
     | None ->
       op.dropped_no_link <- op.dropped_no_link + 1;
       C.incr t.agg.agg_dropped_no_link;
+      drop_flight t ~node:op.op_node ~reason:"no_link" frame;
       complete t op)
   end
 
-let enqueue t op frame =
+(* The transmission in progress on [op]: [None] once its completion key
+   has passed, whether or not the completion was ever pushed. *)
+let live_tx t op =
+  match op.current with
+  | Some tx
+    when Sim.Engine.precedes_running t.engine ~time:tx.finish ~seq:tx.finish_seq ->
+    op.current <- None;
+    None
+  | current -> current
+
+let cancel_transmission t tx =
+  cancel_delivery t tx.delivery;
+  Option.iter (cancel_delivery t) tx.completion;
+  tx.tx_frame.Frame.aborted <- true;
+  tx.delivered_frame.Frame.aborted <- true
+
+let enqueue t op tx frame =
   if op.queued_bytes + Bytes.length frame.Frame.payload > op.buffer_bytes then begin
     op.dropped_overflow <- op.dropped_overflow + 1;
     C.incr t.agg.agg_dropped_overflow;
@@ -649,6 +682,7 @@ let enqueue t op frame =
     op.queued_bytes <- op.queued_bytes + Bytes.length frame.Frame.payload;
     Sim.Stats.Timeweighted.set op.qtrack ~now:(now t)
       (float_of_int (Sim.Heap.size op.queue));
+    push_completion t op tx;
     Queued
   end
 
@@ -660,7 +694,7 @@ let send t ~node ~port frame =
     C.incr t.agg.agg_dropped_no_link;
     Dropped_no_link
   | Some link -> (
-    match op.current with
+    match live_tx t op with
     | None ->
       start_transmission t op link frame;
       Started
@@ -676,10 +710,7 @@ let send t ~node ~port frame =
            acceptable over-count of a partial transmission. *)
         (* The victim's head may already be arriving downstream: mark the
            frame as a runt so receivers that act at tail time discard it. *)
-        cancel_delivery t tx.delivery;
-        cancel_delivery t tx.completion;
-        tx.tx_frame.Frame.aborted <- true;
-        tx.delivered_frame.Frame.aborted <- true;
+        cancel_transmission t tx;
         op.preempted <- op.preempted + 1;
         C.incr t.agg.agg_preempted;
         trace t "node %d port %d: frame#%d preempted frame#%d" node port
@@ -695,19 +726,19 @@ let send t ~node ~port frame =
           frame.Frame.id;
         Dropped_blocked
       end
-      else enqueue t op frame)
+      else enqueue t op tx frame)
 
 let queue_length t ~node ~port = Sim.Heap.size (outport t node port).queue
 let queued_bytes t ~node ~port = (outport t node port).queued_bytes
 let port_busy t ~node ~port =
-  match (outport t node port).current with Some _ -> true | None -> false
+  match live_tx t (outport t node port) with Some _ -> true | None -> false
 
 (* Earliest instant a NEW transmission could start on the port. Sound as
    a shard-promise floor only on sealed edges: preemption aborts the
    current transmission early, and a crash purge frees the port early —
    both start a successor before [finish]. *)
 let port_busy_until t ~node ~port =
-  match (outport t node port).current with
+  match live_tx t (outport t node port) with
   | Some tx -> tx.finish
   | None -> now t
 
@@ -750,19 +781,10 @@ let purge_node t ~node =
       | None -> ()
       | Some op ->
         let dropped = ref 0 in
-        let mark_purged frame =
-          match frame.Frame.flight with
-          | Some ctx ->
-            Telemetry.Flight.drop ctx ~node ~in_port:(-1) ~now:(now t)
-              ~reason:"purged"
-          | None -> ()
-        in
-        (match op.current with
+        let mark_purged = drop_flight t ~node ~reason:"purged" in
+        (match live_tx t op with
         | Some tx ->
-          cancel_delivery t tx.delivery;
-          cancel_delivery t tx.completion;
-          tx.tx_frame.Frame.aborted <- true;
-          tx.delivered_frame.Frame.aborted <- true;
+          cancel_transmission t tx;
           mark_purged tx.tx_frame;
           op.current <- None;
           incr dropped

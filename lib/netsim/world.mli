@@ -161,6 +161,11 @@ val purge_node : t -> node:Topo.Graph.node_id -> int
 val queue_length : t -> node:Topo.Graph.node_id -> port:Topo.Graph.port -> int
 val queued_bytes : t -> node:Topo.Graph.node_id -> port:Topo.Graph.port -> int
 val port_busy : t -> node:Topo.Graph.node_id -> port:Topo.Graph.port -> bool
+(** Whether a transmission is in progress. It ends at the engine key its
+    end of serialization would have as an event, taken when it started:
+    at the finish instant itself, an event keyed before that still sees
+    the port busy and one keyed after sees it idle. {!send},
+    {!port_busy_until} and {!purge_node} read the port the same way. *)
 
 val port_busy_until : t -> node:Topo.Graph.node_id -> port:Topo.Graph.port -> Sim.Time.t
 (** Finish time of the transmission in progress, or [now] when idle: the

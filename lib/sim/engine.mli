@@ -21,18 +21,34 @@ val schedule : t -> delay:Time.t -> (unit -> unit) -> handle
 val schedule_at : t -> time:Time.t -> (unit -> unit) -> handle
 (** Absolute-time variant. The time must not be in the simulated past. *)
 
-val alloc_seq : t -> int
-(** Reserve and return the sequence number an event scheduled right now
-    would receive, advancing the counter without pushing anything.
-    Batched delivery queues capture one key per queued delivery this
-    way, so draining the queue in key order is observably identical to
-    having scheduled each delivery as its own event. *)
+val reserve : t -> time:Time.t -> int
+(** [reserve t ~time] takes the sequence number an event scheduled now
+    would receive and returns it, pushing nothing: [(time, seq)] is the
+    key that event would have had. The holder may later push it with
+    {!schedule_keyed}, or never push it when the event would have no
+    work to do; either way every other event keeps its key. An
+    unbounded {!run} that drains the queue leaves the clock no earlier
+    than the latest reserved time, as if every reserved key had been
+    popped. The time must not be in the past. *)
 
 val schedule_keyed : t -> time:Time.t -> seq:int -> (unit -> unit) -> handle
-(** Schedule with an explicit (previously reserved) sequence key — the
-    re-arming half of {!alloc_seq}: a batching cursor parks itself in
-    the heap at exactly the key of the next queued delivery. The time
-    must not be in the past; the seq must be non-negative. *)
+(** Schedule at an explicit key previously obtained from {!reserve}.
+    The time must not be in the past; the seq must be non-negative. *)
+
+val precedes_running : t -> time:Time.t -> seq:int -> bool
+(** [precedes_running t ~time ~seq] is [true] when the key sorts
+    strictly before the event now running — an event at that key would
+    already have run. Between runs it is [true] for keys at or before
+    the clock that were reserved before the last run drained (or, after
+    a run stopped by [max_events], that sort before the last event run),
+    so a key reserved between runs at the current instant is still
+    pending. *)
+
+val set_running : t -> seq:int -> unit
+(** Declare the seq of the work now running at [now t]. A batched
+    delivery drain runs several reserved-key entries inside one heap
+    event and declares each entry's key before running it, so that
+    {!precedes_running} answers as it would for one event per entry. *)
 
 val precedes_next : t -> time:Time.t -> seq:int -> bool
 (** [precedes_next t ~time ~seq] is [true] when the key [(time, seq)]
@@ -64,8 +80,9 @@ val next_time : t -> Time.t
 
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Drain the event queue. [until] stops the clock at that time (events
-    scheduled later remain queued); [max_events] guards against runaway
-    simulations. *)
+    scheduled later remain queued); without it, a run that drains the
+    queue leaves the clock at the later of its last event and the latest
+    {!reserve}d time. [max_events] guards against runaway simulations. *)
 
 val pending : t -> int
 (** Events still queued (including cancelled ones not yet skipped). *)

@@ -32,13 +32,14 @@ let build ~route ~data =
   let route = normalize_vnt route in
   let size =
     List.fold_left (fun acc s -> acc + Segment.encoded_size s) 0 route
-    + Bytes.length data + 2
+    + Bytes.length data + Bytes.length Trailer.empty
   in
-  let w = Wire.Buf.create_writer size in
+  let b = Bytes.create size in
+  let w = Wire.Buf.writer_onto b ~off:0 ~len:size in
   List.iter (Segment.write w) route;
   Wire.Buf.put_bytes w data;
   Wire.Buf.put_bytes w Trailer.empty;
-  Wire.Buf.contents w
+  b
 
 let read_route r =
   let rec go n acc =

@@ -31,9 +31,8 @@ let encode t =
   if t.index < 0 || t.index >= max_group then invalid_arg "Wire_format: index";
   if t.group_size < 1 || t.group_size > max_group then
     invalid_arg "Wire_format: group size";
-  let w =
-    Wire.Buf.create_writer (header_size + Bytes.length t.data + trailer_size)
-  in
+  let b = Bytes.create (header_size + Bytes.length t.data + trailer_size) in
+  let w = Wire.Buf.writer_onto b ~off:0 ~len:(Bytes.length b) in
   Wire.Buf.put_u64 w t.src_entity;
   Wire.Buf.put_u64 w t.dst_entity;
   Wire.Buf.put_u32_int w (t.transaction land 0xFFFFFFFF);
@@ -46,7 +45,6 @@ let encode t =
   Wire.Buf.put_u32_int w (t.timestamp_ms land 0xFFFFFFFF);
   Wire.Buf.put_u16 w 0 (* checksum placeholder *);
   Wire.Buf.put_u16 w 0 (* pad *);
-  let b = Wire.Buf.contents w in
   let sum = Ipbase.Checksum.compute b in
   Bytes.set_uint16_be b (Bytes.length b - 4) sum;
   b

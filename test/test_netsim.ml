@@ -10,12 +10,12 @@ let check_bool = Alcotest.(check bool)
 let props = G.default_props (* 10 Mb/s, 5 us prop *)
 
 (* two nodes, one link; a recording handler on [b] *)
-let pair () =
+let pair ?(batching = false) () =
   let g = G.create () in
   let a = G.add_node g G.Host and b = G.add_node g G.Host in
   ignore (G.connect g a b props);
   let engine = Sim.Engine.create () in
-  let world = W.create engine g in
+  let world = W.create ~batching engine g in
   let log = ref [] in
   W.set_handler world b (fun _ ~in_port ~frame ~head ~tail ->
       log := (in_port, frame, head, tail) :: !log);
@@ -33,7 +33,9 @@ let serialization_timing () =
   | [ (in_port, _, head, tail) ] ->
     check_int "in port" 1 in_port;
     check_int "head = propagation" (Sim.Time.us 5) head;
-    check_int "tail = tx + propagation" (Sim.Time.us 805) tail
+    check_int "tail = tx + propagation" (Sim.Time.us 805) tail;
+    (* the run ends at the end of serialization, after the delivery *)
+    check_int "clock at end of serialization" (Sim.Time.us 800) (Sim.Engine.now engine)
   | _ -> Alcotest.fail "expected one delivery"
 
 let fifo_when_busy () =
@@ -164,8 +166,14 @@ let failed_link_keeps_in_flight () =
 
 let queued_frames_dropped_when_link_dies_midstream () =
   let g, engine, world, a, _, log = pair () in
-  ignore (W.send world ~node:a ~port:1 (W.fresh_frame world (Bytes.make 1000 '1')));
-  ignore (W.send world ~node:a ~port:1 (W.fresh_frame world (Bytes.make 1000 '2')));
+  Telemetry.Flight.set_policy (W.flight world)
+    { Telemetry.Flight.sample_every = 1; capture_drops = true; capacity = 4 };
+  let send c =
+    let flight = Telemetry.Flight.start (W.flight world) ~now:(W.now world) in
+    ignore (W.send world ~node:a ~port:1 (W.fresh_frame world ?flight (Bytes.make 1000 c)))
+  in
+  send '1';
+  send '2';
   (* kill the link during the first transmission; the queued frame is
      dropped at completion time *)
   ignore
@@ -176,7 +184,14 @@ let queued_frames_dropped_when_link_dies_midstream () =
   Sim.Engine.run engine;
   check_int "first delivered" 1 (List.length !log);
   check_bool "second dropped no-link" true
-    ((W.port_stats world ~node:a ~port:1).W.dropped_no_link >= 1)
+    ((W.port_stats world ~node:a ~port:1).W.dropped_no_link >= 1);
+  (* the dropped frame's flight ends there, at the end of the first
+     frame's serialization; the delivered one stays open *)
+  Alcotest.(check (list (pair int (option string))))
+    "flight dropped" [ (2, Some "no_link") ]
+    (List.map
+       (fun (f : Telemetry.Flight.flight) -> (f.packet_id, f.dropped))
+       (Telemetry.Flight.flights (W.flight world)))
 
 let corruption_flips_bytes () =
   let _, engine, world, a, _, log = pair () in
@@ -337,6 +352,181 @@ let trace_captures_drops () =
   check_bool "drop traced" true
     (List.exists (fun (_, m) -> contains "blocked" m) (Sim.Trace.entries tr))
 
+(* --- ties at the instant a transmission finishes --- *)
+
+let result_name = function
+  | W.Started -> "started"
+  | W.Started_preempting v -> Printf.sprintf "preempting#%d" v.Netsim.Frame.id
+  | W.Queued -> "queued"
+  | W.Dropped_blocked -> "blocked"
+  | W.Dropped_overflow -> "overflow"
+  | W.Dropped_no_link -> "no_link"
+
+(* Port 1 of [a] starts a 100 B frame at 0 (finish = 80 us). Two probes
+   run at exactly [finish]: one deferred before the transmission started,
+   so keyed before its completion, and one deferred after. The first
+   must still see the port busy, the second idle. The send runs as an
+   event of [b] so that [a]'s inbox holds only the two probes: batched,
+   they drain under one cursor. *)
+let tie_at_finish ~batching probe =
+  let _, engine, world, a, b, rx = pair ~batching () in
+  let log = ref [] in
+  let say fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  let finish = Sim.Time.transmission ~bits:800 ~rate_bps:props.G.bandwidth_bps in
+  let port () =
+    Printf.sprintf "busy=%b until=%d q=%d"
+      (W.port_busy world ~node:a ~port:1)
+      (W.port_busy_until world ~node:a ~port:1)
+      (W.queue_length world ~node:a ~port:1)
+  in
+  let run_probe label () =
+    let seen = port () in
+    let result = probe world a in
+    say "%s at %d: %s, then %s: %s" label (W.now world) seen result (port ())
+  in
+  W.defer world ~node:a ~time:finish (run_probe "before");
+  W.defer world ~node:b ~time:0 (fun () ->
+      say "first %s"
+        (result_name (W.send world ~node:a ~port:1 (W.fresh_frame world (Bytes.make 100 'f'))));
+      W.defer world ~node:a ~time:finish (run_probe "after"));
+  Sim.Engine.run engine;
+  let s = W.port_stats world ~node:a ~port:1 in
+  say "end %d sent=%d preempted=%d purged=%d busy=%b" (Sim.Engine.now engine)
+    s.W.sent_frames s.W.preempted s.W.purged (W.port_busy world ~node:a ~port:1);
+  List.iter
+    (fun (_, f, head, tail) ->
+      say "rx #%d %d %d %b" f.Netsim.Frame.id head tail f.Netsim.Frame.aborted)
+    (List.rev !rx);
+  List.rev !log
+
+let tie_probes =
+  let send ?priority ?drop_if_blocked w a =
+    result_name
+      (W.send w ~node:a ~port:1
+         (W.fresh_frame w ?priority ?drop_if_blocked (Bytes.make 100 'p')))
+  in
+  [
+    ("look", fun _ _ -> "-");
+    ("send", fun w a -> send w a);
+    ("send drop_if_blocked", fun w a -> send ~drop_if_blocked:true w a);
+    ("send preemptive", fun w a -> send ~priority:7 w a);
+    ("purge", fun w a -> Printf.sprintf "purged %d" (W.purge_node w ~node:a));
+  ]
+
+(* A zero-byte frame finishes the instant it starts: its completion is
+   keyed after the event that sent it, so a second send from the same
+   event, or from top level before the next run, still finds the port
+   busy. *)
+let zero_byte ~batching =
+  let _, engine, world, a, _, rx = pair ~batching () in
+  let log = ref [] in
+  let say fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  let send label size =
+    let r = W.send world ~node:a ~port:1 (W.fresh_frame world (Bytes.make size 'z')) in
+    say "%s %s busy=%b until=%d q=%d" label (result_name r)
+      (W.port_busy world ~node:a ~port:1)
+      (W.port_busy_until world ~node:a ~port:1)
+      (W.queue_length world ~node:a ~port:1)
+  in
+  send "top empty" 0;
+  send "top second" 0;
+  Sim.Engine.run engine;
+  say "after run %d busy=%b" (Sim.Engine.now engine) (W.port_busy world ~node:a ~port:1);
+  let at = Sim.Time.us 10 in
+  W.defer world ~node:a ~time:at (fun () ->
+      send "event empty" 0;
+      send "event full" 100);
+  W.defer world ~node:a ~time:at (fun () -> send "later event" 0);
+  Sim.Engine.run engine;
+  say "end %d busy=%b" (Sim.Engine.now engine) (W.port_busy world ~node:a ~port:1);
+  List.iter
+    (fun (_, f, head, tail) ->
+      say "rx #%d %d %d %b" f.Netsim.Frame.id head tail f.Netsim.Frame.aborted)
+    (List.rev !rx);
+  List.rev !log
+
+(* Expected logs, computed at the commit before completions became lazy,
+   when every transmission scheduled its completion as its own event. *)
+let tie_expected =
+  [
+    ( "look",
+      [
+        "first started";
+        "before at 80000: busy=true until=80000 q=0, then -: busy=true until=80000 q=0";
+        "after at 80000: busy=false until=80000 q=0, then -: busy=false until=80000 q=0";
+        "end 80000 sent=1 preempted=0 purged=0 busy=false";
+        "rx #0 5000 85000 false";
+      ] );
+    ( "send",
+      [
+        "first started";
+        "before at 80000: busy=true until=80000 q=0, then queued: busy=true until=80000 q=1";
+        "after at 80000: busy=true until=160000 q=0, then queued: busy=true until=160000 q=1";
+        "end 240000 sent=3 preempted=0 purged=0 busy=false";
+        "rx #0 5000 85000 false";
+        "rx #1 85000 165000 false";
+        "rx #2 165000 245000 false";
+      ] );
+    ( "send drop_if_blocked",
+      [
+        "first started";
+        "before at 80000: busy=true until=80000 q=0, then blocked: busy=true until=80000 q=0";
+        "after at 80000: busy=false until=80000 q=0, then started: busy=true until=160000 q=0";
+        "end 160000 sent=2 preempted=0 purged=0 busy=false";
+        "rx #0 5000 85000 false";
+        "rx #2 85000 165000 false";
+      ] );
+    ( "send preemptive",
+      [
+        "first started";
+        "before at 80000: busy=true until=80000 q=0, then preempting#0: busy=true until=160000 q=0";
+        "after at 80000: busy=true until=160000 q=0, then queued: busy=true until=160000 q=1";
+        "end 240000 sent=3 preempted=1 purged=0 busy=false";
+        "rx #0 5000 85000 true";
+        "rx #1 85000 165000 false";
+        "rx #2 165000 245000 false";
+      ] );
+    ( "purge",
+      [
+        "first started";
+        "before at 80000: busy=true until=80000 q=0, then purged 1: busy=false until=80000 q=0";
+        "after at 80000: busy=false until=80000 q=0, then purged 0: busy=false until=80000 q=0";
+        "end 80000 sent=1 preempted=0 purged=1 busy=false";
+        "rx #0 5000 85000 true";
+      ] );
+  ]
+
+let zero_byte_expected =
+  [
+    "top empty started busy=true until=0 q=0";
+    "top second queued busy=true until=0 q=1";
+    "after run 5000 busy=false";
+    "event empty started busy=true until=10000 q=0";
+    "event full queued busy=true until=10000 q=1";
+    "later event queued busy=true until=10000 q=2";
+    "end 95000 busy=false";
+    "rx #0 5000 5000 false";
+    "rx #1 5000 5000 false";
+    "rx #2 15000 15000 false";
+    "rx #3 15000 95000 false";
+    "rx #4 95000 95000 false";
+  ]
+
+let ties_at_finish () =
+  List.iter
+    (fun batching ->
+      List.iter
+        (fun (name, probe) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s, batched %b" name batching)
+            (List.assoc name tie_expected)
+            (tie_at_finish ~batching probe))
+        tie_probes;
+      Alcotest.(check (list string))
+        (Printf.sprintf "zero-byte frames, batched %b" batching)
+        zero_byte_expected (zero_byte ~batching))
+    [ false; true ]
+
 (* Golden digest: fixed seeded random sequences of sends, link failures
    and repairs, crash purges and buffer resizes on a small multi-port
    graph with a store-and-forward link, a noisy link, a departure tap, a
@@ -482,12 +672,12 @@ let golden_run ~seed ~batching =
 
 let golden_digests =
   [
-    (1, "accfe95552d952e797c1af4e268fcba6");
-    (2, "54ffa218fde73cf06044a56b1935dbd6");
-    (3, "14627fe7004c529e0e5438cedbca6cfa");
+    (1, "06f87ea08f97ad5491bb8e1c947cfcbc");
+    (2, "646b4da76bd92306602b0d272b3af48b");
+    (3, "171f9671269bea0bcd9f8f43fe5eed49");
     (4, "d17f3730d725bfeb74809b905fd2b7ea");
-    (5, "62c94c6ca627ab29075c527aed9ea42b");
-    (6, "4e10cb603fd9bf0f7716143358edffe1");
+    (5, "5a9a51fb8c89a859a4bed744de0df67f");
+    (6, "7b53cdbe89010bc07516cd6141e475a1");
   ]
 
 (* A crash purge drops the frames of the node's ports in ascending port
@@ -561,6 +751,8 @@ let () =
         ] );
       ( "trace",
         [ Alcotest.test_case "captures drops" `Quick trace_captures_drops ] );
+      ( "ties",
+        [ Alcotest.test_case "probes at the finish instant" `Quick ties_at_finish ] );
       ( "golden",
         [
           Alcotest.test_case "seeded op sequences" `Quick golden_port_layer;

@@ -301,6 +301,50 @@ let engine_max_events () =
   Sim.Engine.run ~max_events:100 e;
   check_int "bounded" 100 !count
 
+(* A reserved key is pending until the event now running sorts after it:
+   at the same instant, an event scheduled before the reservation runs
+   while the key is pending, one scheduled after sees it passed. *)
+let engine_reserve_tie () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let key = ref (-1) in
+  let probe name () =
+    log := (name, Sim.Engine.precedes_running e ~time:10 ~seq:!key) :: !log
+  in
+  ignore (Sim.Engine.schedule_at e ~time:10 (probe "before"));
+  key := Sim.Engine.reserve e ~time:10;
+  ignore (Sim.Engine.schedule_at e ~time:10 (probe "after"));
+  check_bool "pending before the run" false
+    (Sim.Engine.precedes_running e ~time:10 ~seq:!key);
+  Sim.Engine.run e;
+  Alcotest.(check (list (pair string bool)))
+    "tie order" [ ("before", false); ("after", true) ] (List.rev !log);
+  check_bool "passed after the run" true
+    (Sim.Engine.precedes_running e ~time:10 ~seq:!key);
+  (* reserved between runs at the current instant: still pending *)
+  let again = Sim.Engine.reserve e ~time:10 in
+  check_bool "reserved between runs is pending" false
+    (Sim.Engine.precedes_running e ~time:10 ~seq:again);
+  Sim.Engine.run e;
+  check_bool "passed once a run drains" true
+    (Sim.Engine.precedes_running e ~time:10 ~seq:again);
+  Alcotest.check_raises "past" (Invalid_argument "Engine.reserve: time in the past")
+    (fun () -> ignore (Sim.Engine.reserve e ~time:5))
+
+(* An unbounded run ends where the latest reserved key would have been
+   popped; a bounded one still stops at [until]. *)
+let engine_reserve_watermark () =
+  let e = Sim.Engine.create () in
+  ignore (Sim.Engine.schedule_at e ~time:10 ignore);
+  let late = Sim.Engine.reserve e ~time:50 in
+  Sim.Engine.run ~until:30 e;
+  check_int "until" 30 (Sim.Engine.now e);
+  check_bool "late key pending" false (Sim.Engine.precedes_running e ~time:50 ~seq:late);
+  Sim.Engine.run e;
+  check_int "clock at the latest reserved time" 50 (Sim.Engine.now e);
+  check_int "nothing executed for it" 1 (Sim.Engine.executed e);
+  check_bool "late key passed" true (Sim.Engine.precedes_running e ~time:50 ~seq:late)
+
 (* Stats *)
 
 let summary_basics () =
@@ -467,6 +511,112 @@ let qcheck_engine_cancel_until =
       && Sim.Engine.pending e
          = List.length (List.filter (fun (time, _) -> time > until) events))
 
+(* Model: reserving keys and pushing some of them later at the reserved
+   key behaves like scheduling every event eagerly and cancelling those
+   never pushed. Both engines run the same plan: phase-1 items, a run to
+   [until], phase-2 items at or after the clock, an unbounded run. Items
+   are plain events, reservations never pushed, reservations pushed
+   right after their phase is set up, or reservations pushed from inside
+   an earlier-keyed plain event. Executions (id and instant), the clock
+   after each run and the executed count must match, and every
+   [precedes_running] answer must be "the eager event at that key has
+   already been popped". *)
+let qcheck_engine_reserve_model =
+  let item = QCheck.(pair (int_range 0 40) (int_range 0 3)) in
+  QCheck.Test.make ~name:"reserve + push at the key = schedule + cancel" ~count:300
+    QCheck.(
+      triple
+        (list_of_size Gen.(0 -- 40) item)
+        (int_range 0 45)
+        (list_of_size Gen.(0 -- 20) item))
+    (fun (phase1, until, phase2) ->
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let eager = Sim.Engine.create () and lz = Sim.Engine.create () in
+      let elog = ref [] and llog = ref [] in
+      let seq = ref 0 in
+      let keys = ref [] in
+      let take () =
+        let s = !seq in
+        incr seq;
+        s
+      in
+      let check_keys ~now ~running =
+        List.iter
+          (fun (time, s) ->
+            expect
+              (Sim.Engine.precedes_running lz ~time ~seq:s
+              = (time < now || (time = now && s < running))))
+          !keys
+      in
+      let plain id time =
+        let s = take () in
+        ignore (Sim.Engine.schedule_at eager ~time (fun () -> elog := (id, time) :: !elog));
+        ignore
+          (Sim.Engine.schedule_at lz ~time (fun () ->
+               llog := (id, Sim.Engine.now lz) :: !llog;
+               check_keys ~now:(Sim.Engine.now lz) ~running:s))
+      in
+      let phase ~base items =
+        let top = ref [] in
+        List.iteri
+          (fun i (dt, mode) ->
+            let id = (base * 1000) + i and time = Sim.Engine.now lz + dt in
+            match mode with
+            | 0 -> plain id time
+            | mode ->
+              let pusher =
+                if mode = 3 then begin
+                  (* a plain event keyed before the reservation pushes it *)
+                  let ps = take () and at = Sim.Engine.now lz + (dt / 2) in
+                  ignore (Sim.Engine.schedule_at eager ~time:at ignore);
+                  let cell = ref None in
+                  ignore
+                    (Sim.Engine.schedule_at lz ~time:at (fun () ->
+                         check_keys ~now:(Sim.Engine.now lz) ~running:ps;
+                         Option.iter (fun f -> f ()) !cell));
+                  Some cell
+                end
+                else None
+              in
+              let h =
+                Sim.Engine.schedule_at eager ~time (fun () -> elog := (id, time) :: !elog)
+              in
+              if mode = 1 then Sim.Engine.cancel eager h;
+              let s = Sim.Engine.reserve lz ~time in
+              expect (s = !seq);
+              incr seq;
+              keys := (time, s) :: !keys;
+              let push () =
+                ignore
+                  (Sim.Engine.schedule_keyed lz ~time ~seq:s (fun () ->
+                       llog := (id, Sim.Engine.now lz) :: !llog;
+                       check_keys ~now:(Sim.Engine.now lz) ~running:s))
+              in
+              (match (mode, pusher) with
+              | 2, _ -> top := push :: !top
+              | 3, Some cell -> cell := Some push
+              | _ -> ()))
+          items;
+        List.iter (fun f -> f ()) (List.rev !top)
+      in
+      phase ~base:1 phase1;
+      Sim.Engine.run ~until eager;
+      Sim.Engine.run ~until lz;
+      expect (Sim.Engine.now lz = Sim.Engine.now eager);
+      check_keys ~now:until ~running:!seq;
+      (* phase-2 keys at the current instant are pending until the run *)
+      let mark = !seq in
+      phase ~base:2 phase2;
+      check_keys ~now:until ~running:mark;
+      Sim.Engine.run eager;
+      Sim.Engine.run lz;
+      expect (Sim.Engine.now lz = Sim.Engine.now eager);
+      check_keys ~now:max_int ~running:0;
+      expect (List.rev !llog = List.rev !elog);
+      expect (Sim.Engine.executed lz = Sim.Engine.executed eager);
+      !ok)
+
 let () =
   Alcotest.run "sim"
     [
@@ -505,6 +655,8 @@ let () =
           Alcotest.test_case "max_events bounds" `Quick engine_max_events;
           Alcotest.test_case "cancel and until boundary" `Quick
             engine_cancel_and_until_boundary;
+          Alcotest.test_case "reserved key tie" `Quick engine_reserve_tie;
+          Alcotest.test_case "reserved time watermark" `Quick engine_reserve_watermark;
         ] );
       ( "stats",
         [
@@ -527,5 +679,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_engine_order; qcheck_heap_model; qcheck_engine_cancel_until ] );
+          [
+            qcheck_engine_order;
+            qcheck_heap_model;
+            qcheck_engine_cancel_until;
+            qcheck_engine_reserve_model;
+          ] );
     ]
